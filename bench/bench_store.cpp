@@ -100,11 +100,11 @@ int main(int argc, char** argv) {
 
   ImageDiffOptions options;
   options.threads = 1;  // serial rows: the bench measures ingestion, not pool
-  // The library fast path, not the cycle-level machine simulation: the
-  // claim under test is that the store amortizes per-request *ingestion*
-  // (parse + fingerprint), which only shows once the diff itself runs at
-  // production speed.
-  options.engine = DiffEngine::kParitySweep;
+  // The word-parallel sequential engine, not the cycle-level machine
+  // simulation: the claim under test is that the store amortizes
+  // per-request *ingestion* (parse + fingerprint), which only shows once
+  // the diff itself runs at production speed.
+  options.engine = DiffEngine::kSequentialMerge;
 
   // --- 1. hot-reference throughput ---------------------------------------
   // One reference, a small pool of scans, both sides pre-registered.  The

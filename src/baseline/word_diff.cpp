@@ -145,4 +145,10 @@ SequentialDiffResult sequential_engine_xor(const RleRow& a, const RleRow& b) {
   return word_parallel_xor(a, b, scratch, level);
 }
 
+SequentialDiffResult sequential_row_xor(const RleRow& a, const RleRow& b,
+                                        bool canonicalize_output) {
+  return canonicalize_output ? sequential_engine_xor(a, b)
+                             : sequential_xor(a, b);
+}
+
 }  // namespace sysrle

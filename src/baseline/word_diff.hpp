@@ -69,6 +69,12 @@ SequentialDiffResult word_parallel_xor(const RleRow& a, const RleRow& b,
 /// word path or merge iterations on the scalar path.
 SequentialDiffResult sequential_engine_xor(const RleRow& a, const RleRow& b);
 
+/// The sequential comparator in either output form: the word-parallel
+/// engine serves the canonical form; raw piecewise output — which the
+/// Observation-bound telemetry needs — is only defined by the scalar merge.
+SequentialDiffResult sequential_row_xor(const RleRow& a, const RleRow& b,
+                                        bool canonicalize_output);
+
 namespace detail {
 /// In-place prefix-XOR fill: turns boundary-toggle words into filled-pixel
 /// words (bit j of the result = parity of toggle bits at positions <= j

@@ -226,11 +226,9 @@ DiffEngine parse_engine(const std::string& name) {
   if (name == "systolic") return DiffEngine::kSystolic;
   if (name == "bus") return DiffEngine::kBusSystolic;
   if (name == "sequential") return DiffEngine::kSequentialMerge;
-  if (name == "sweep") return DiffEngine::kParitySweep;
-  if (name == "pixel") return DiffEngine::kPixelParallel;
   if (name == "adaptive") return DiffEngine::kAdaptive;
   usage_error("unknown engine '" + name +
-              "' (systolic|bus|sequential|sweep|pixel|adaptive)");
+              "' (systolic|bus|sequential|adaptive)");
 }
 
 /// Resolves --threads: absent = 0 (auto); present values must be >= 1 —
@@ -1630,8 +1628,8 @@ void print_help(std::ostream& out) {
          "                    SYSRLE_SIMD environment variable sets the same\n"
          "                    knob (--simd wins).  Unsupported levels are a\n"
          "                    usage error, never a silent downgrade.\n\n"
-         "engines: systolic (default) | bus | sequential | sweep | pixel |\n"
-         "         adaptive (per-row systolic/sequential by run-count shape)\n"
+         "engines: systolic (default) | bus | sequential | adaptive (per-row\n"
+         "         systolic/sequential by run-count shape)\n"
          "threads: --threads N forces N row workers (N >= 1); omitted or 0\n"
          "         sizes the pool from the hardware (1 when unknown)\n"
          "formats: auto-detected on read; chosen by extension on write\n"

@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "baseline/sequential_diff.hpp"
 #include "baseline/word_diff.hpp"
 #include "common/assert.hpp"
 #include "core/invariants.hpp"
@@ -141,11 +140,9 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
 
   if (policy.fallback_to_sequential) {
     // The sequential comparator shares no datapath with the array; a cell
-    // defect cannot reach it.  The word-parallel engine serves the
-    // canonical form; raw piecewise output only exists on the scalar merge.
-    SequentialDiffResult seq = policy.canonicalize_output
-                                   ? sequential_engine_xor(a, b)
-                                   : sequential_xor(a, b);
+    // defect cannot reach it.
+    SequentialDiffResult seq =
+        sequential_row_xor(a, b, policy.canonicalize_output);
     result.output = std::move(seq.output);
     result.record.fallback_iterations = seq.iterations;
     result.record.outcome = RecoveryOutcome::kFellBack;

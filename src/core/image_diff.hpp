@@ -5,13 +5,14 @@
 // for which the paper's per-row machine would be replicated or time-shared.
 //
 // Rows are independent (the whole premise of the paper's systolic array), so
-// the row loop always runs on the native RowExecutor pool — parallelism is
-// unconditional, not a configure-time accident of finding OpenMP.  OpenMP
-// remains available as an optional backend.  The result is bit-identical to
-// a serial run regardless of thread count: scheduling decides who computes a
-// row, never what, and aggregation is serial in row order.
+// the row loop always runs on the native RowExecutor pool.  The result is
+// bit-identical to a serial run regardless of thread count: scheduling
+// decides who computes a row, never what, and aggregation is serial in row
+// order.  diff_row is the one place an engine is chosen for a row; both
+// image_diff and the streaming StreamDiffer call it.
 
 #include <cstdint>
+#include <optional>
 
 #include "core/cost_model.hpp"
 #include "rle/rle_image.hpp"
@@ -19,13 +20,13 @@
 
 namespace sysrle {
 
+class SystolicDiffMachine;
+
 /// Which row-diff engine to run.
 enum class DiffEngine {
   kSystolic,         ///< the paper's machine (cycle-level simulation)
   kBusSystolic,      ///< section-6 broadcast-bus variant
   kSequentialMerge,  ///< the paper's sequential comparator
-  kParitySweep,      ///< library fast path (rle/ops.hpp xor_rows)
-  kPixelParallel,    ///< decompress + word-parallel XOR + recompress
   kAdaptive,         ///< per-row systolic/sequential dispatch on the cheap
                      ///< half of the §5 cost model (see core/cost_model.hpp)
 };
@@ -33,37 +34,33 @@ enum class DiffEngine {
 /// Human-readable engine name (for bench output).
 const char* to_string(DiffEngine engine);
 
-/// Which runtime drives the parallel row loop.
-enum class ParallelBackend {
-  kNative,  ///< core/row_executor.hpp — always available
-  kOpenMP,  ///< the OpenMP runtime; falls back to kNative when the build
-            ///< has no OpenMP (SYSRLE_WITH_OPENMP=OFF or not found)
-};
-
 /// Options for image_diff.
 struct ImageDiffOptions {
   DiffEngine engine = DiffEngine::kSystolic;
   /// Merge adjacent runs in every output row.
   bool canonicalize_output = true;
-  /// Run the section-4 invariant checkers on every systolic row (slow).
-  bool check_invariants = false;
-  /// Bus width for kBusSystolic (0 = unbounded).
-  std::size_t bus_width = 0;
 
   /// Worker threads for the row loop: 0 = auto (everything the shared pool
   /// offers), 1 = serial in the calling thread, N = exactly N participants
   /// (growing the pool on demand, capped at RowExecutor::kMaxThreads).
   std::size_t threads = 0;
-
-  /// Row-loop runtime (see ParallelBackend).
-  ParallelBackend backend = ParallelBackend::kNative;
-
-  /// kAdaptive routing knob: a row goes systolic when
-  /// |k1 - k2| <= threshold * (k1 + k2), sequential otherwise.  The default
-  /// is the θ re-calibrated against the word-parallel sequential engine
-  /// (see cost_model.hpp).
-  double adaptive_similarity_threshold = kDefaultSimilarityThreshold;
 };
+
+/// One row's difference and what it cost.
+struct RowDiff {
+  RleRow output;
+  SystolicCounters counters;                ///< machine activity (systolic/bus)
+  std::uint64_t sequential_iterations = 0;  ///< merge iterations
+  /// The route kAdaptive took for this row (empty for fixed engines).
+  std::optional<AdaptiveRoute> adaptive_route;
+};
+
+/// Diffs one row pair with options.engine.  `workspace` is a machine whose
+/// cell storage is recycled across calls, so a caller diffing many rows
+/// (one workspace per thread) pays no per-row allocation for the array.
+RowDiff diff_row(const RleRow& a, const RleRow& b,
+                 const ImageDiffOptions& options,
+                 SystolicDiffMachine& workspace);
 
 /// Aggregated result of an image-level diff.
 struct ImageDiffResult {
@@ -85,9 +82,9 @@ struct ImageDiffResult {
 };
 
 /// Computes the per-row XOR of two equal-sized RLE images with the selected
-/// engine.  Rows are processed in parallel on the native executor (or the
-/// OpenMP backend when requested and compiled in); output and aggregated
-/// counters are bit-identical to a serial run for any thread count.
+/// engine.  Rows are processed in parallel on the native executor; output
+/// and aggregated counters are bit-identical to a serial run for any thread
+/// count.
 ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
                            const ImageDiffOptions& options = {});
 

@@ -113,8 +113,8 @@ class StreamDiffer {
   const StreamSummary& finish() const { return summary_; }
 
  private:
-  RleRow run_engine(const RleRow& reference, const RleRow& scan,
-                    SystolicCounters& row_counters);
+  /// The engine override when one is installed, diff_row otherwise.
+  RowDiff run_engine(const RleRow& reference, const RleRow& scan);
   void report(pos_t y, const std::string& diagnostic);
   /// True (and accounts the refusal) when the deadline has expired.
   bool refuse_if_expired();

@@ -48,6 +48,14 @@ void write_file(const std::string& path, const std::string& data) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
+/// prefix + decimal n, built by appending: at -O3, GCC 12 raises a false
+/// -Wrestrict on the inlined `"literal" + std::to_string(n)`.
+std::string label(const char* prefix, std::uint64_t n) {
+  std::string s = prefix;
+  s += std::to_string(n);
+  return s;
+}
+
 /// A fresh scratch directory per test, removed on destruction.
 struct ScratchDir {
   std::string path;
@@ -210,7 +218,7 @@ TEST(StoreSnapshot, RoundTrip) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const RleImage img = make_image(seed);
     entries.push_back({canonical_fingerprint(img),
-                       "img" + std::to_string(seed),
+                       label("img", seed),
                        canonical_rle_bytes(img)});
   }
   write_snapshot(path, entries);
@@ -311,7 +319,7 @@ TEST(DurableStore, BudgetEvictionsAreJournaledAndRecovered) {
     DurableStore ds(cfg);
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const auto r =
-          ds.register_image(make_image(seed), "s" + std::to_string(seed));
+          ds.register_image(make_image(seed), label("s", seed));
       ASSERT_TRUE(r.ok);
       handles.push_back(r.handle);
     }
@@ -395,7 +403,7 @@ TEST(DurableStore, CrashPointSweepPreservesPrefixProperty) {
     DurableStore ds(plain_config(dir.path));
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const auto r =
-          ds.register_image(make_image(seed), "s" + std::to_string(seed));
+          ds.register_image(make_image(seed), label("s", seed));
       ASSERT_TRUE(r.ok);
       ops.emplace_back(true, r.handle);
     }
@@ -523,11 +531,13 @@ TEST(StoreJournal, ConcurrentAppendHammer) {
       const RleImage img = make_image(100 + static_cast<std::uint64_t>(t));
       const std::string bytes = canonical_rle_bytes(img);
       const ImageHandle h = canonical_fingerprint(img);
+      const std::string thread_label =
+          label("t", static_cast<std::uint64_t>(t));
       for (int i = 0; i < kPerThread; ++i) {
         if (i % 4 == 3)
           journal.append_evict(h);
         else
-          journal.append_register(h, "t" + std::to_string(t), bytes);
+          journal.append_register(h, thread_label, bytes);
       }
     });
   }

@@ -37,8 +37,7 @@ TEST(ImageDiff, AllEnginesAgreeWithBitmapGroundTruth) {
 
   for (const DiffEngine engine :
        {DiffEngine::kSystolic, DiffEngine::kBusSystolic,
-        DiffEngine::kSequentialMerge, DiffEngine::kParitySweep,
-        DiffEngine::kPixelParallel, DiffEngine::kAdaptive}) {
+        DiffEngine::kSequentialMerge, DiffEngine::kAdaptive}) {
     ImageDiffOptions opts;
     opts.engine = engine;
     opts.canonicalize_output = true;
@@ -87,8 +86,8 @@ TEST(ImageDiff, CountersAggregateAcrossRows) {
 TEST(ImageDiff, EngineNamesAreDistinct) {
   EXPECT_STRNE(to_string(DiffEngine::kSystolic),
                to_string(DiffEngine::kBusSystolic));
-  EXPECT_STRNE(to_string(DiffEngine::kParitySweep),
-               to_string(DiffEngine::kSequentialMerge));
+  EXPECT_STRNE(to_string(DiffEngine::kSequentialMerge),
+               to_string(DiffEngine::kAdaptive));
 }
 
 TEST(ImageDiff, EmptyImages) {

@@ -89,32 +89,61 @@ TEST(StreamDiff, PipelinedCyclesDominatedByLoadOnSimilarRows) {
   EXPECT_EQ(differ.finish().pipelined_cycles, expected_load);
 }
 
+// StreamDiffer and image_diff share one row dispatch (diff_row): for every
+// engine and both output forms, the stream's rows, summed counters and merge
+// iterations must equal image_diff's at any thread count, and the canonical
+// rows must agree across engines.
 TEST(StreamDiff, EnginesAgreeRowByRow) {
   Rng rng(1204);
   RowGenParams p;
   p.width = 500;
   ErrorGenParams ep;
   ep.error_fraction = 0.10;
-  std::vector<RowPairSample> pairs;
-  for (int i = 0; i < 8; ++i) pairs.push_back(generate_pair(rng, p, ep));
+  const pos_t kRows = 64;  // several executor chunks, so 4 threads share rows
+  RleImage a(p.width, kRows);
+  RleImage b(p.width, kRows);
+  for (pos_t y = 0; y < kRows; ++y) {
+    RowPairSample pr = generate_pair(rng, p, ep);
+    a.set_row(y, std::move(pr.first));
+    b.set_row(y, std::move(pr.second));
+  }
 
-  std::vector<std::vector<RleRow>> results;
+  std::vector<RleRow> canonical_rows;
   for (const DiffEngine engine :
        {DiffEngine::kSystolic, DiffEngine::kBusSystolic,
-        DiffEngine::kSequentialMerge, DiffEngine::kParitySweep,
-        DiffEngine::kAdaptive}) {
-    ImageDiffOptions opts;
-    opts.engine = engine;
-    opts.canonicalize_output = true;
-    std::vector<RleRow> rows;
-    StreamDiffer differ(opts, [&rows](pos_t, const RleRow& d) {
-      rows.push_back(d);
-    });
-    for (const auto& pr : pairs) differ.push_row(pr.first, pr.second);
-    results.push_back(std::move(rows));
+        DiffEngine::kSequentialMerge, DiffEngine::kAdaptive}) {
+    for (const bool canonical : {true, false}) {
+      ImageDiffOptions opts;
+      opts.engine = engine;
+      opts.canonicalize_output = canonical;
+      std::vector<RleRow> rows;
+      StreamDiffer differ(opts, [&rows](pos_t, const RleRow& d) {
+        rows.push_back(d);
+      });
+      for (pos_t y = 0; y < kRows; ++y) differ.push_row(a.row(y), b.row(y));
+      const StreamSummary& s = differ.finish();
+
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(to_string(engine)) +
+                     (canonical ? " canonical" : " raw") + " threads " +
+                     std::to_string(threads));
+        opts.threads = threads;
+        const ImageDiffResult r = image_diff(a, b, opts);
+        ASSERT_EQ(rows.size(), static_cast<std::size_t>(kRows));
+        for (pos_t y = 0; y < kRows; ++y)
+          EXPECT_EQ(rows[static_cast<std::size_t>(y)], r.diff.row(y))
+              << "row " << y;
+        EXPECT_TRUE(s.counters == r.counters);
+        EXPECT_EQ(s.sequential_iterations, r.sequential_iterations);
+        EXPECT_EQ(s.max_row_iterations, r.max_row_iterations);
+      }
+      if (!canonical) continue;
+      if (canonical_rows.empty())
+        canonical_rows = rows;
+      else
+        EXPECT_EQ(rows, canonical_rows) << to_string(engine);
+    }
   }
-  for (std::size_t e = 1; e < results.size(); ++e)
-    EXPECT_EQ(results[e], results[0]) << "engine " << e;
 }
 
 TEST(StreamDiff, AdaptiveEngineRoutesPerRowAndAccountsBothWays) {
