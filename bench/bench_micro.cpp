@@ -101,10 +101,10 @@ ImageInputs make_image_inputs(pos_t rows, pos_t width) {
 }
 
 // The row-executor acceptance pair: telemetry disabled (the default — one
-// relaxed atomic load per row, spans skipped entirely) versus enabled, where
-// per-row spans are sampled at 1/kRowSpanStride so the shared SpanTracer
-// mutex is touched a bounded number of times per image regardless of thread
-// count.
+// relaxed atomic load per row, spans skipped entirely) versus metrics on and
+// a flight recorder installed, where per-row spans are sampled at
+// 1/kRowSpanStride so each image adds a bounded number of lock-free ring
+// records regardless of thread count.
 void BM_ImageDiffParallel(benchmark::State& state) {
   const ImageInputs in = make_image_inputs(256, 2048);
   ImageDiffOptions options;
@@ -122,12 +122,15 @@ void BM_ImageDiffParallelTelemetryOn(benchmark::State& state) {
   ImageDiffOptions options;
   options.engine = DiffEngine::kAdaptive;
   options.threads = static_cast<std::size_t>(state.range(0));
+  FlightRecorder recorder(1 << 16);
   reset_telemetry();
   set_telemetry_enabled(true);
+  set_flight_recorder(&recorder);
   for (auto _ : state) {
     const ImageDiffResult r = image_diff(in.a, in.b, options);
     benchmark::DoNotOptimize(r.diff);
   }
+  set_flight_recorder(nullptr);
   set_telemetry_enabled(false);
   reset_telemetry();
 }

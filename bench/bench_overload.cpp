@@ -41,7 +41,7 @@
 //      twice, recorder installed vs not; the instrumented per-request cost
 //      must stay within 25% of the disabled cost (the disabled fast path is
 //      one relaxed atomic load, the enabled path a ticket fetch_add plus
-//      relaxed stores per event).
+//      plain stores per event, per-row spans included).
 //
 // Arrival streams are a pure function of (seed, phase index) — never of
 // worker count or topology — so any two phases handed the same pair see
@@ -638,9 +638,10 @@ int main(int argc, char** argv) {
                        /*hot_fraction=*/0.5, kill_hedge, kSeed,
                        kill_arrival_seed, /*kill_at=*/-1);
   // The killed run flies with the recorder installed; the ring is sized far
-  // beyond the phase's event volume so nothing wraps and the audit below
-  // sees every request's complete timeline.
-  FlightRecorder flight(1 << 14);
+  // beyond the phase's event volume — serving events plus one
+  // stream.push_row span per processed row — so nothing wraps and the audit
+  // below sees every request's complete timeline.
+  FlightRecorder flight(1 << 16);
   const RouterPhaseOutcome killed =
       run_router_phase(pool, 0.5, kRequests, interarrival_us,
                        /*hot_fraction=*/0.5, kill_hedge, kSeed,

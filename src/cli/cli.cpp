@@ -812,18 +812,31 @@ KillSpec parse_kill_replica(const std::string& text) {
   return k;
 }
 
-int cmd_serve(ArgParser& args, std::ostream& out) {
+/// Ring size of the invocation's recorder when --trace-out installs it.
+constexpr std::size_t kTraceCapacity = std::size_t{1} << 16;
+
+/// (Re)creates the invocation's one event recorder at `capacity` and
+/// installs it as the global flight recorder.
+void install_recorder(std::optional<FlightRecorder>& recorder,
+                      std::size_t capacity) {
+  set_flight_recorder(nullptr);
+  recorder.emplace(capacity);
+  set_flight_recorder(&*recorder);
+}
+
+int cmd_serve(ArgParser& args, std::ostream& out,
+              std::optional<FlightRecorder>& recorder) {
   args.parse({"--requests", "--workers", "--queue-cap", "--deadline-ms",
               "--seed", "--engine", "--shards", "--replicas", "--hedge-ms",
-              "--flight-recorder", "--flight-out", "--flight-trace",
-              "--slo-p99-ms", "--kill-replica", "--store-cap-mb",
-              "--cache-cap-mb", "--store-dir", "--snapshot-every"});
+              "--flight-recorder", "--flight-out", "--slo-p99-ms",
+              "--kill-replica", "--store-cap-mb", "--cache-cap-mb",
+              "--store-dir", "--snapshot-every"});
   if (!args.positional().empty() || !args.has("--requests"))
     usage_error(
         "serve --requests <file|-> [--workers N] [--queue-cap M] "
         "[--deadline-ms D] [--seed S] [--engine E] [--shards N] "
         "[--replicas R] [--hedge-ms H] [--flight-recorder N] "
-        "[--flight-out FILE] [--flight-trace FILE] [--slo-p99-ms D] "
+        "[--flight-out FILE] [--slo-p99-ms D] "
         "[--kill-replica S.R@K] [--store] [--store-dir DIR] "
         "[--snapshot-every N] [--store-cap-mb N] "
         "[--cache-cap-mb N] [--checked] [--json]");
@@ -837,7 +850,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   const std::int64_t hedge_ms = args.get_int("--hedge-ms", 0);
   const std::int64_t flight_cap = args.get_int("--flight-recorder", 0);
   const std::string flight_out = args.get("--flight-out", "");
-  const std::string flight_trace = args.get("--flight-trace", "");
   const std::int64_t slo_p99_ms = args.get_int("--slo-p99-ms", 50);
   const std::string store_dir = args.get("--store-dir", "");
   // A durable directory implies store mode: recovery repopulates the session
@@ -864,8 +876,8 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     usage_error("--snapshot-every must be >= 0 (0 = compact only on recovery)");
   if (flight_cap < 0)
     usage_error("--flight-recorder must be >= 0 (0 = off; N = ring slots)");
-  if (flight_cap == 0 && (!flight_out.empty() || !flight_trace.empty()))
-    usage_error("--flight-out/--flight-trace require --flight-recorder N");
+  if (flight_cap == 0 && !flight_out.empty())
+    usage_error("--flight-out requires --flight-recorder N");
   if (slo_p99_ms < 1) usage_error("--slo-p99-ms must be >= 1");
   std::optional<KillSpec> kill;
   if (args.has("--kill-replica")) {
@@ -874,13 +886,13 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
         kill->replica >= static_cast<std::size_t>(replicas))
       usage_error("--kill-replica names a shard.replica outside the topology");
   }
-  // Fail fast on unwritable flight destinations, same contract as the
+  // Fail fast on an unwritable flight destination, same contract as the
   // global --metrics/--trace-out preflight.
-  for (const std::string* path : {&flight_out, &flight_trace}) {
-    if (path->empty()) continue;
-    std::ofstream probe(*path, std::ios::app);
+  if (!flight_out.empty()) {
+    std::ofstream probe(flight_out, std::ios::app);
     if (!probe.is_open())
-      throw contract_error("cannot open flight output for writing: " + *path);
+      throw contract_error("cannot open flight output for writing: " +
+                           flight_out);
   }
   // Same contract for the durable store directory: a serve session must not
   // discover at the first registration that its journal has nowhere to go.
@@ -961,13 +973,13 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   ImageDiffOptions options;
   options.engine = parse_engine(args.get("--engine", "systolic"));
 
-  // Flight recorder: installed for the router's whole lifetime, removed
-  // before export (no writers can race the dump once drain() returned).
-  std::optional<FlightRecorder> flight;
-  if (flight_cap > 0) {
-    flight.emplace(static_cast<std::size_t>(flight_cap));
-    set_flight_recorder(&*flight);
-  }
+  // The invocation's one recorder (installed by --trace-out, sized by
+  // --flight-recorder N): installed for the router's whole lifetime,
+  // removed before export (no writers can race the dump once drain()
+  // returned).
+  if (flight_cap > 0)
+    install_recorder(recorder, static_cast<std::size_t>(flight_cap));
+  FlightRecorder* const flight = recorder ? &*recorder : nullptr;
 
   // Interactive SLO: a request is good iff it completed within the target.
   // Rejected/failed interactive requests burn budget regardless of latency.
@@ -1132,11 +1144,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   const SloTracker::Burn slo_long = slo.long_window(slo_now);
   if (telemetry_enabled()) slo.export_gauges(global_metrics(), slo_now);
 
-  if (flight) {
-    if (!flight_out.empty()) write_flight_jsonl_file(*flight, flight_out);
-    if (!flight_trace.empty())
-      write_flight_chrome_trace_file(*flight, flight_trace);
-  }
+  if (!flight_out.empty()) write_flight_jsonl_file(*flight, flight_out);
 
   if (args.has("--json")) {
     JsonWriter w(out);
@@ -1588,7 +1596,7 @@ void print_help(std::ostream& out) {
          "  serve --requests <file|-> [--workers N] [--queue-cap M]\n"
          "      [--deadline-ms D] [--seed S] [--engine E] [--shards N]\n"
          "      [--replicas R] [--hedge-ms H] [--flight-recorder N]\n"
-         "      [--flight-out FILE] [--flight-trace FILE] [--slo-p99-ms D]\n"
+         "      [--flight-out FILE] [--slo-p99-ms D]\n"
          "      [--kill-replica S.R@K] [--store] [--store-dir DIR]\n"
          "      [--snapshot-every N] [--store-cap-mb N]\n"
          "      [--cache-cap-mb N] [--checked] [--json]\n"
@@ -1596,9 +1604,10 @@ void print_help(std::ostream& out) {
          "      (bounded admission, deadlines, retry budget, breakers,\n"
          "      hedging, coalescing); request lines: 'priority rows width\n"
          "      error [deadline_ms]'; --workers 0 sizes the pool from the\n"
-         "      hardware.  --flight-recorder N keeps the last N per-request\n"
-         "      events in a lock-free ring; --flight-out dumps them as\n"
-         "      sysrle.flight.v1 JSONL, --flight-trace as a Chrome trace.\n"
+         "      hardware.  --flight-recorder N keeps the last N events\n"
+         "      (per-request events and spans) in a lock-free ring;\n"
+         "      --flight-out dumps them as sysrle.flight.v1 JSONL, and the\n"
+         "      global --trace-out renders the same ring as a Chrome trace.\n"
          "      --kill-replica S.R@K kills shard S replica R after K\n"
          "      submissions (failover drill).  --store enables the session\n"
          "      image store + result cache and the request-file verbs\n"
@@ -1619,9 +1628,12 @@ void print_help(std::ostream& out) {
          "  help                 this message.\n\n"
          "global options (any command):\n"
          "  --metrics FILE    write a sysrle.metrics.v1 JSON snapshot of all\n"
-         "                    telemetry recorded during the command.\n"
-         "  --trace-out FILE  write a Chrome trace_event file loadable by\n"
-         "                    chrome://tracing and Perfetto.\n"
+         "                    metrics recorded during the command.\n"
+         "  --trace-out FILE  record spans and request events in a flight\n"
+         "                    ring (65536 events, newest kept; serve\n"
+         "                    --flight-recorder N sizes it) and write it as a\n"
+         "                    sysrle.trace.v2 Chrome trace_event file loadable\n"
+         "                    by chrome://tracing and Perfetto.\n"
          "  --simd LEVEL      dispatch level of the word-parallel sequential\n"
          "                    engine: scalar | swar64 | avx2 | neon.  Default\n"
          "                    is the widest level this host supports; the\n"
@@ -1686,11 +1698,14 @@ int run_cli(const std::vector<std::string>& args_in, std::ostream& out,
       return 2;
     }
   }
-  const bool telemetry = !metrics_path.empty() || !trace_path.empty();
+  const bool telemetry = !metrics_path.empty();
   if (telemetry) {
     reset_telemetry();
     set_telemetry_enabled(true);
   }
+  // Each invocation has at most one event recorder; --trace-out installs it.
+  std::optional<FlightRecorder> recorder;
+  if (!trace_path.empty()) install_recorder(recorder, kTraceCapacity);
 
   int rc = 2;
   try {
@@ -1709,7 +1724,7 @@ int run_cli(const std::vector<std::string>& args_in, std::ostream& out,
       else if (command == "verilog") rc = cmd_verilog(rest, out);
       else if (command == "trace") rc = cmd_trace(rest, out);
       else if (command == "campaign") rc = cmd_campaign(rest, out);
-      else if (command == "serve") rc = cmd_serve(rest, out);
+      else if (command == "serve") rc = cmd_serve(rest, out, recorder);
       else if (command == "store") rc = cmd_store(rest, out);
       else usage_error("unknown command '" + command + "' (try: sysrle help)");
     }
@@ -1721,17 +1736,15 @@ int run_cli(const std::vector<std::string>& args_in, std::ostream& out,
     rc = 2;
   }
 
-  if (telemetry) {
-    set_telemetry_enabled(false);
-    try {
-      if (!metrics_path.empty())
-        write_metrics_json_file(global_metrics().snapshot(), metrics_path);
-      if (!trace_path.empty())
-        write_chrome_trace_file(global_tracer(), trace_path);
-    } catch (const std::exception& e) {
-      err << "sysrle: telemetry export failed: " << e.what() << '\n';
-      rc = 2;
-    }
+  if (telemetry) set_telemetry_enabled(false);
+  if (recorder) set_flight_recorder(nullptr);
+  try {
+    if (!metrics_path.empty())
+      write_metrics_json_file(global_metrics().snapshot(), metrics_path);
+    if (!trace_path.empty()) write_chrome_trace_file(*recorder, trace_path);
+  } catch (const std::exception& e) {
+    err << "sysrle: telemetry export failed: " << e.what() << '\n';
+    rc = 2;
   }
   return rc;
 }

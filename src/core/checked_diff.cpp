@@ -158,7 +158,7 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
 CheckedRowResult checked_xor(const RleRow& a, const RleRow& b,
                              const RecoveryPolicy& policy,
                              const FaultInjection& injection) {
-  TELEMETRY_SPAN("checked.row", "checked");
+  TELEMETRY_SPAN("checked.row");
   CheckedRowResult result = checked_xor_impl(a, b, policy, injection);
   if (telemetry_enabled()) record_checked_telemetry(result);
   return result;

@@ -80,8 +80,9 @@ namespace {
 /// The scheduling grain: rows claimed per executor chunk.
 constexpr std::size_t kRowChunk = 16;
 
-/// Per-row spans contend on the shared trace buffer at high thread counts,
-/// so only every kRowSpanStride-th row opens one.  Sampling by row index is
+/// A span per row would flood the flight ring (which keeps the newest
+/// events) and push a serving request's own events out of it, so only every
+/// kRowSpanStride-th row opens one.  Sampling by row index is
 /// deterministic: the same rows are sampled at any thread count.
 constexpr std::size_t kRowSpanStride = 64;
 
@@ -89,7 +90,7 @@ RowDiff diff_one_row(std::size_t y, const RleRow& ra, const RleRow& rb,
                      const ImageDiffOptions& options,
                      SystolicDiffMachine& workspace) {
   if (y % kRowSpanStride == 0) {
-    TELEMETRY_SPAN("row_diff", "image");
+    TELEMETRY_SPAN("row_diff");
     return diff_row(ra, rb, options, workspace);
   }
   return diff_row(ra, rb, options, workspace);
@@ -99,7 +100,7 @@ RowDiff diff_one_row(std::size_t y, const RleRow& ra, const RleRow& rb,
 
 ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
                            const ImageDiffOptions& options) {
-  TELEMETRY_SPAN("image_diff", "image");
+  TELEMETRY_SPAN("image_diff");
   SYSRLE_REQUIRE(a.width() == b.width() && a.height() == b.height(),
                  "image_diff: image dimensions differ");
   const pos_t height = a.height();

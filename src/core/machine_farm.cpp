@@ -24,7 +24,7 @@ constexpr std::size_t kNoMachine = std::numeric_limits<std::size_t>::max();
 
 FarmResult simulate_row_farm(const RleImage& a, const RleImage& b,
                              const FarmConfig& config) {
-  TELEMETRY_SPAN("farm.simulate", "farm");
+  TELEMETRY_SPAN("farm.simulate");
   SYSRLE_REQUIRE(a.width() == b.width() && a.height() == b.height(),
                  "simulate_row_farm: image dimensions differ");
   SYSRLE_REQUIRE(config.machines >= 1, "simulate_row_farm: need >= 1 machine");

@@ -87,7 +87,7 @@ RowDiff StreamDiffer::run_engine(const RleRow& reference, const RleRow& scan) {
 
 bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
   if (refuse_if_expired()) return false;
-  TELEMETRY_SPAN("stream.push_row", "stream");
+  TELEMETRY_SPAN("stream.push_row");
   const bool telem = telemetry_enabled();
   std::chrono::steady_clock::time_point t0{};
   if (telem) {

@@ -143,7 +143,7 @@ RleImage read_binary(std::istream& in) {
 }  // namespace
 
 void write_rle(std::ostream& out, const RleImage& img, RleFormat format) {
-  TELEMETRY_SPAN("rle.write", "rle");
+  TELEMETRY_SPAN("rle.write");
   const bool telem = telemetry_enabled();
   const std::streampos pos_before = telem ? out.tellp() : std::streampos(-1);
   if (format == RleFormat::kText) {
@@ -182,7 +182,7 @@ void write_rle(std::ostream& out, const RleImage& img, RleFormat format) {
 }
 
 RleImage read_rle(std::istream& in) {
-  TELEMETRY_SPAN("rle.read", "rle");
+  TELEMETRY_SPAN("rle.read");
   const bool telem = telemetry_enabled();
   const std::streampos pos_before = telem ? in.tellg() : std::streampos(-1);
   try {

@@ -33,17 +33,7 @@ std::uint64_t image_fingerprint(const RleImage& image) {
   return h;
 }
 
-CoalesceKey coalesce_key(const RleImage& a, const RleImage& b,
-                         const ImageDiffOptions& options) {
-  CoalesceKey key;
-  key.fp_a = image_fingerprint(a);
-  key.fp_b = image_fingerprint(b);
-  key.engine = options.engine;
-  key.canonicalize = options.canonicalize_output;
-  return key;
-}
-
-Coalescer::AdmitResult Coalescer::admit(const CoalesceKey& key,
+Coalescer::AdmitResult Coalescer::admit(const ResultKey& key,
                                         const RleImage& a, const RleImage& b,
                                         std::uint64_t call_id) {
   auto it = inflight_.find(key);
@@ -64,13 +54,13 @@ Coalescer::AdmitResult Coalescer::admit(const CoalesceKey& key,
   return {.primary = false, .owner = it->second.owner, .collision = false};
 }
 
-void Coalescer::reassign(const CoalesceKey& key, std::uint64_t call_id) {
+void Coalescer::reassign(const ResultKey& key, std::uint64_t call_id) {
   auto it = inflight_.find(key);
   SYSRLE_REQUIRE(it != inflight_.end(),
                  "Coalescer::reassign: key is not in flight");
   it->second.owner = call_id;
 }
 
-void Coalescer::finish(const CoalesceKey& key) { inflight_.erase(key); }
+void Coalescer::finish(const ResultKey& key) { inflight_.erase(key); }
 
 }  // namespace sysrle

@@ -6,10 +6,10 @@
 // every scan on an inspection line diffs against the same reference, and a
 // re-review storm (operators re-opening the same defect) submits the exact
 // same (reference, scan) pair many times in a burst.  The coalescer keys
-// in-flight work by (image-a fingerprint, image-b fingerprint, engine
-// options); a duplicate arriving while the first copy is still running
-// attaches as a *waiter* on the primary instead of consuming a second
-// engine slot.  When the primary completes, the router fans its response
+// in-flight work by the result cache's ResultKey (image-a fingerprint,
+// image-b fingerprint, engine options); a duplicate arriving while the
+// first copy is still running attaches as a *waiter* on the primary instead
+// of consuming a second engine slot.  When the primary completes, the router fans its response
 // out to every waiter; when the primary fails, the failure propagates
 // *typed* (waiters see the same kFailed / shard_down outcome, never a
 // silent drop); when the primary's deadline expires while waiters with
@@ -27,8 +27,8 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "core/image_diff.hpp"
 #include "rle/rle_image.hpp"
+#include "store/result_cache.hpp"
 
 namespace sysrle {
 
@@ -37,32 +37,6 @@ namespace sysrle {
 /// probability ~2^-64 — and a collision is caught by the equality check in
 /// Coalescer::admit, never served.
 std::uint64_t image_fingerprint(const RleImage& image);
-
-/// Identity of one diff computation: same key + equal images = same output
-/// (the engines are bit-identical across thread counts, so `threads` is
-/// deliberately not part of the key).
-struct CoalesceKey {
-  std::uint64_t fp_a = 0;
-  std::uint64_t fp_b = 0;
-  DiffEngine engine = DiffEngine::kSystolic;
-  bool canonicalize = true;
-
-  friend bool operator==(const CoalesceKey&, const CoalesceKey&) = default;
-};
-
-/// Builds the key for a diff of `a` against `b` under `options`.
-CoalesceKey coalesce_key(const RleImage& a, const RleImage& b,
-                         const ImageDiffOptions& options);
-
-struct CoalesceKeyHash {
-  std::size_t operator()(const CoalesceKey& k) const {
-    std::uint64_t h = k.fp_a * 0x9e3779b97f4a7c15ull;
-    h ^= k.fp_b + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h ^= (static_cast<std::uint64_t>(k.engine) << 1) ^
-         (k.canonicalize ? 0x2545f4914f6cdd1dull : 0);
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Tracks which computations are in flight and who owns each.
 class Coalescer {
@@ -82,15 +56,15 @@ class Coalescer {
   /// `a`/`b` defeat fingerprint collisions: a key match whose images differ
   /// returns primary=true, collision=true, and is NOT registered (the
   /// colliding computation runs uncoalesced and unregistered).
-  AdmitResult admit(const CoalesceKey& key, const RleImage& a,
+  AdmitResult admit(const ResultKey& key, const RleImage& a,
                     const RleImage& b, std::uint64_t call_id);
 
   /// Hands ownership of `key` to `call_id` (waiter promotion after the
   /// primary's deadline expired): later duplicates attach to the new owner.
-  void reassign(const CoalesceKey& key, std::uint64_t call_id);
+  void reassign(const ResultKey& key, std::uint64_t call_id);
 
   /// Removes `key` from the in-flight set (the owner delivered or shed).
-  void finish(const CoalesceKey& key);
+  void finish(const ResultKey& key);
 
   std::size_t inflight() const { return inflight_.size(); }
   std::uint64_t collisions() const { return collisions_; }
@@ -104,7 +78,7 @@ class Coalescer {
     RleImage b{0, 0};
   };
 
-  std::unordered_map<CoalesceKey, Entry, CoalesceKeyHash> inflight_;
+  std::unordered_map<ResultKey, Entry, ResultKeyHash> inflight_;
   std::uint64_t collisions_ = 0;
 };
 

@@ -11,7 +11,6 @@
 #include "core/row_executor.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/request_context.hpp"
-#include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sysrle {
@@ -170,20 +169,11 @@ void DiffService::process(AdmissionQueue::Item item) {
 
   // Install the request's identity on this worker thread for the duration:
   // every span the engines record underneath (stream.push_row, checked.row)
-  // and every flight event picks it up automatically.  The scope outlives
-  // the span below, so the span's destructor still sees the context.
+  // and every flight event picks it up automatically — shard and replica
+  // included.  The scope outlives the span below, so the span's destructor
+  // still sees the context.
   RequestContextScope ctx_scope(req.ctx);
-
-  // Routed requests get a per-replica span label (owned-name small-buffer
-  // storage: the string dies with this frame, the event does not).
-  std::optional<TelemetrySpan> span;
-  if (telemetry_enabled() && req.ctx.shard >= 0) {
-    span.emplace("service.request.s" + std::to_string(req.ctx.shard) + ".r" +
-                     std::to_string(req.ctx.replica),
-                 "service");
-  } else {
-    span.emplace("service.request", "service");
-  }
+  TELEMETRY_SPAN("service.request");
 
   const auto dequeued = std::chrono::steady_clock::now();
   flight_record(FlightEventKind::kDequeue, req.ctx, "",

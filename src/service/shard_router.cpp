@@ -93,15 +93,22 @@ void ShardRouter::count_metric(const char* name) const {
   if (telemetry_enabled()) global_metrics().add(name);
 }
 
+ShardRouter::Fingerprints ShardRouter::fingerprints_of(
+    const ServiceRequest& request) {
+  // By-handle operands carry their fingerprints: the handle IS the
+  // canonical content fingerprint, so nothing is hashed.
+  if (request.by_handle()) return {request.ref_handle, request.scan_handle};
+  return {image_fingerprint(request.reference),
+          image_fingerprint(request.scan)};
+}
+
+std::uint64_t ShardRouter::route_key_from(const Fingerprints& fps) {
+  return mix64(fps.ref ^ mix64(fps.scan));
+}
+
 std::uint64_t ShardRouter::route_key_of(const ServiceRequest& request) {
   if (request.route_key != 0) return request.route_key;
-  // By-handle requests route on their handles: the handle IS the content
-  // fingerprint, so re-submissions of the same pair land on the same shard
-  // without hashing any image bytes.
-  if (request.by_handle())
-    return mix64(request.ref_handle ^ mix64(request.scan_handle));
-  return mix64(image_fingerprint(request.reference) ^
-               mix64(image_fingerprint(request.scan)));
+  return route_key_from(fingerprints_of(request));
 }
 
 std::size_t ShardRouter::shard_of(std::uint64_t key) const {
@@ -163,22 +170,31 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
           request.ref_image().width() == request.scan_image().width() &&
               request.ref_image().height() == request.scan_image().height(),
           "ShardRouter: by-handle image dimensions differ");
-      const std::uint64_t key = route_key_of(request);
-      const std::size_t home = shard_of(key);
-
       // Result cache: only by-handle requests are eligible — their key is
       // the verified store fingerprint pair, so a hit is answerable without
       // re-hashing anything.  Hooked requests (fault injection, engine
-      // override) change behaviour per request and bypass the cache.
-      const bool cacheable = config_.cache != nullptr && request.by_handle() &&
-                             !request.fault && !request.engine_override;
-      ResultKey rkey;
+      // override) change behaviour per request and bypass the cache, and
+      // never share a computation through the coalescer either.
+      const bool hooked = request.fault || request.engine_override;
+      const bool cacheable =
+          config_.cache != nullptr && request.by_handle() && !hooked;
+      const bool coalescible = config_.coalesce && !hooked;
+
+      // Each operand is fingerprinted at most once per submission; the
+      // route key and the cache/coalescing key both derive from the pair.
+      // A by-value request with a caller-set route key that cannot coalesce
+      // needs neither, and hashes nothing.
+      const Fingerprints fps =
+          request.by_handle() || request.route_key == 0 || coalescible
+              ? fingerprints_of(request)
+              : Fingerprints{};
+      const std::uint64_t key =
+          request.route_key != 0 ? request.route_key : route_key_from(fps);
+      const std::size_t home = shard_of(key);
+      const ResultKey rkey = result_key(fps.ref, fps.scan, request.options);
+
       bool served_from_cache = false;
       if (cacheable) {
-        rkey.fp_a = request.ref_handle;
-        rkey.fp_b = request.scan_handle;
-        rkey.engine = request.options.engine;
-        rkey.canonicalize = request.options.canonicalize_output;
         if (const std::shared_ptr<const CachedDiff> hit = config_.cache->lookup(
                 rkey, request.ref_image(), request.scan_image())) {
           // Bit-identical replay of the original completion; no engine, no
@@ -212,26 +228,12 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
       if (served_from_cache) {
         // result stays nullopt: the response above is the one delivery.
       } else {
-      // Coalescing: requests carrying per-request behaviour hooks (fault
-      // injection, engine overrides) never share a computation.
-      const bool coalescible = config_.coalesce && !request.fault &&
-                               !request.engine_override;
+      // Coalescing: the equality check in admit() defeats fingerprint
+      // collisions.
       bool registered = false;
-      CoalesceKey ckey;
       if (coalescible) {
-        // By-handle keys reuse the store fingerprints directly — no image
-        // hashing; the equality check below still defeats collisions.
-        if (request.by_handle()) {
-          ckey.fp_a = request.ref_handle;
-          ckey.fp_b = request.scan_handle;
-          ckey.engine = request.options.engine;
-          ckey.canonicalize = request.options.canonicalize_output;
-        } else {
-          ckey =
-              coalesce_key(request.reference, request.scan, request.options);
-        }
         const Coalescer::AdmitResult admit = coalescer_.admit(
-            ckey, request.ref_image(), request.scan_image(), next_call_id_);
+            rkey, request.ref_image(), request.scan_image(), next_call_id_);
         // A collision runs uncoalesced AND unregistered — it must never
         // finish() a key another computation owns.
         registered = admit.primary && !admit.collision;
@@ -257,15 +259,14 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
       call->accepted = std::chrono::steady_clock::now();
       call->key = key;
       call->home_shard = home;
-      call->ckey = ckey;
+      call->rkey = rkey;
       call->coalesce_registered = registered;
       call->cacheable = cacheable;
-      call->rkey = rkey;
 
       result = dispatch_locked(call, /*is_hedge=*/false,
                                /*exclude_replica=*/SIZE_MAX, deliveries);
       if (result) {
-        if (call->coalesce_registered) coalescer_.finish(call->ckey);
+        if (call->coalesce_registered) coalescer_.finish(call->rkey);
         if (*result == RejectReason::kShardDown) {
           ++stats_.shed_shard_down;
           count_metric("router.shard_down_sheds");
@@ -588,7 +589,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
                     static_cast<std::uint64_t>(wr.total_us));
       out.push_back({std::move(wr)});
     }
-    if (call->coalesce_registered) coalescer_.finish(call->ckey);
+    if (call->coalesce_registered) coalescer_.finish(call->rkey);
   } else {
     bool promoted = false;
     for (; w < waiters.size(); ++w) {
@@ -618,7 +619,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       next->accepted = waiter.arrived;
       next->key = call->key;
       next->home_shard = call->home_shard;
-      next->ckey = call->ckey;
+      next->rkey = call->rkey;
       next->coalesce_registered = call->coalesce_registered;
       const std::optional<RejectReason> reason =
           dispatch_locked(next, /*is_hedge=*/false, SIZE_MAX, out);
@@ -643,7 +644,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       next->waiters.assign(std::make_move_iterator(waiters.begin() + w + 1),
                            std::make_move_iterator(waiters.end()));
       if (next->coalesce_registered)
-        coalescer_.reassign(next->ckey, next->call_id);
+        coalescer_.reassign(next->rkey, next->call_id);
       calls_.emplace(next->call_id, next);
       ++stats_.coalesce_promotions;
       count_metric("router.coalesce_promotions");
@@ -664,7 +665,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       break;
     }
     if (!promoted && call->coalesce_registered)
-      coalescer_.finish(call->ckey);
+      coalescer_.finish(call->rkey);
   }
 
   if (call->pending_dispatches == 0) calls_.erase(call->call_id);

@@ -207,6 +207,14 @@ class ShardRouter {
   void revive_replica(std::size_t shard, std::size_t replica);
 
  private:
+  /// The operands' content fingerprints (reference, scan).
+  struct Fingerprints {
+    std::uint64_t ref = 0;
+    std::uint64_t scan = 0;
+  };
+  static Fingerprints fingerprints_of(const ServiceRequest& request);
+  static std::uint64_t route_key_from(const Fingerprints& fps);
+
   struct Waiter {
     ServiceRequest request;
     std::chrono::steady_clock::time_point arrived;
@@ -219,13 +227,14 @@ class ShardRouter {
     std::uint64_t key = 0;
     std::size_t home_shard = 0;
 
-    CoalesceKey ckey;
+    /// The computation's identity: the coalescer's in-flight key (when
+    /// coalesce_registered) and the cache key (when cacheable).
+    ResultKey rkey;
     bool coalesce_registered = false;
     std::vector<Waiter> waiters;
 
     /// Cache-eligible by-handle call: its completion is inserted under rkey.
     bool cacheable = false;
-    ResultKey rkey;
 
     /// Where the primary (non-hedge) dispatch landed; the hedge excludes
     /// this replica when picking its second target.

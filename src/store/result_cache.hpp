@@ -41,9 +41,10 @@
 
 namespace sysrle {
 
-/// Identity of a by-handle diff result.  Deliberately its own type (not
-/// CoalesceKey) so the store layer does not depend on the service layer;
-/// the fields and hashing match the coalescer's key exactly.
+/// Identity of one diff computation: same key + equal images = same output
+/// (the engines are bit-identical across thread counts, so `threads` is
+/// deliberately not part of the key).  Keys both this cache and the
+/// service layer's in-flight coalescer.
 struct ResultKey {
   std::uint64_t fp_a = 0;
   std::uint64_t fp_b = 0;
@@ -52,6 +53,13 @@ struct ResultKey {
 
   friend bool operator==(const ResultKey&, const ResultKey&) = default;
 };
+
+/// The key of a diff of the image fingerprinted `fp_a` against the one
+/// fingerprinted `fp_b` under `options`.
+inline ResultKey result_key(std::uint64_t fp_a, std::uint64_t fp_b,
+                            const ImageDiffOptions& options) {
+  return {fp_a, fp_b, options.engine, options.canonicalize_output};
+}
 
 struct ResultKeyHash {
   std::size_t operator()(const ResultKey& k) const {

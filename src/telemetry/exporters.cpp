@@ -1,5 +1,6 @@
 #include "telemetry/exporters.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 
@@ -82,65 +83,6 @@ void write_metrics_json_file(const MetricsSnapshot& snapshot,
   write_metrics_json(snapshot, out);
 }
 
-void write_chrome_trace(const SpanTracer& tracer, std::ostream& out) {
-  JsonWriter w(out);
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-
-  // Process-name metadata event, so trace viewers label the track.
-  w.begin_object();
-  w.member("name", "process_name");
-  w.member("ph", "M");
-  w.member("pid", 1);
-  w.member("tid", 0);
-  w.key("args");
-  w.begin_object();
-  w.member("name", "sysrle");
-  w.end_object();
-  w.end_object();
-
-  for (const SpanEvent& e : tracer.snapshot()) {
-    w.begin_object();
-    w.member("name", e.label());
-    w.member("cat", e.category);
-    w.member("ph", "X");
-    w.member("ts", e.ts_us);
-    w.member("dur", e.dur_us);
-    w.member("pid", 1);
-    w.member("tid", static_cast<std::uint64_t>(e.tid));
-    if (e.ctx.active) {
-      w.key("args");
-      w.begin_object();
-      w.member("request_id", e.ctx.request_id);
-      w.member("attempt", static_cast<std::uint64_t>(e.ctx.attempt));
-      w.member("shard", static_cast<std::int64_t>(e.ctx.shard));
-      w.member("replica", static_cast<std::int64_t>(e.ctx.replica));
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
-
-  w.member("displayTimeUnit", "ms");
-  w.key("otherData");
-  w.begin_object();
-  w.member("schema", "sysrle.trace.v1");
-  w.member("dropped_events", tracer.dropped());
-  w.end_object();
-
-  w.end_object();
-  out << '\n';
-  SYSRLE_ENSURE(out.good(), "trace export: write failed");
-}
-
-void write_chrome_trace_file(const SpanTracer& tracer,
-                             const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  SYSRLE_REQUIRE(out.is_open(), "trace export: cannot open for write: " + path);
-  write_chrome_trace(tracer, out);
-}
-
 namespace {
 
 // One compact JSON object for one flight event (no trailing newline).
@@ -155,15 +97,7 @@ void write_flight_event_fields(JsonWriter& w, const FlightEvent& e) {
   w.member("replica", static_cast<std::int64_t>(e.ctx.replica));
   w.member("detail", e.detail);
   w.member("arg", e.arg);
-}
-
-// Track id for flight events in the Chrome rendering: one lane per
-// (shard, replica), lane 0 for unrouted events.
-std::uint64_t flight_tid(const RequestContext& ctx) {
-  if (ctx.shard < 0) return 0;
-  const std::uint64_t replica =
-      ctx.replica < 0 ? 0 : static_cast<std::uint64_t>(ctx.replica);
-  return static_cast<std::uint64_t>(ctx.shard) * 100 + replica + 1;
+  w.member("tid", static_cast<std::uint64_t>(e.tid));
 }
 
 }  // namespace
@@ -221,13 +155,26 @@ void write_flight_jsonl_file(const FlightRecorder& recorder,
   write_flight_jsonl(recorder, out);
 }
 
-void write_flight_chrome_trace(const FlightRecorder& recorder,
-                               std::ostream& out) {
+void write_chrome_trace(const FlightRecorder& recorder, std::ostream& out) {
+  // Start-time order (enclosing spans before their children at equal
+  // timestamps); the ring itself is in record order, and a span records
+  // when it closes.
+  std::vector<FlightEvent> events = recorder.snapshot();
+  const auto dur = [](const FlightEvent& e) {
+    return e.kind == FlightEventKind::kSpan ? e.arg : 0;
+  };
+  std::stable_sort(events.begin(), events.end(),
+                   [&](const FlightEvent& a, const FlightEvent& b) {
+                     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
+                     return dur(a) > dur(b);
+                   });
+
   JsonWriter w(out);
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
 
+  // Process-name metadata event, so trace viewers label the track.
   w.begin_object();
   w.member("name", "process_name");
   w.member("ph", "M");
@@ -235,27 +182,34 @@ void write_flight_chrome_trace(const FlightRecorder& recorder,
   w.member("tid", 0);
   w.key("args");
   w.begin_object();
-  w.member("name", "sysrle flight recorder");
+  w.member("name", "sysrle");
   w.end_object();
   w.end_object();
 
-  for (const FlightEvent& e : recorder.snapshot()) {
-    const std::uint64_t tid = flight_tid(e.ctx);
+  for (const FlightEvent& e : events) {
+    const std::uint64_t tid = e.tid;  // one lane per recording thread
+    const bool span = e.kind == FlightEventKind::kSpan;
     w.begin_object();
-    w.member("name", to_string(e.kind));
-    w.member("cat", "flight");
-    w.member("ph", "i");
-    w.member("s", "t");
+    w.member("name", span ? e.detail : to_string(e.kind));
+    w.member("ph", span ? "X" : "i");
+    if (span) w.member("dur", e.arg);
+    else w.member("s", "t");
     w.member("ts", e.ts_us);
     w.member("pid", 1);
     w.member("tid", tid);
     w.key("args");
     w.begin_object();
     w.member("seq", e.seq);
-    w.member("request_id", e.ctx.request_id);
-    w.member("attempt", static_cast<std::uint64_t>(e.ctx.attempt));
-    w.member("detail", e.detail);
-    w.member("arg", e.arg);
+    if (e.ctx.active) {
+      w.member("request_id", e.ctx.request_id);
+      w.member("attempt", static_cast<std::uint64_t>(e.ctx.attempt));
+      w.member("shard", static_cast<std::int64_t>(e.ctx.shard));
+      w.member("replica", static_cast<std::int64_t>(e.ctx.replica));
+    }
+    if (!span) {
+      w.member("detail", e.detail);
+      w.member("arg", e.arg);
+    }
     w.end_object();
     w.end_object();
 
@@ -283,22 +237,22 @@ void write_flight_chrome_trace(const FlightRecorder& recorder,
   w.member("displayTimeUnit", "ms");
   w.key("otherData");
   w.begin_object();
-  w.member("schema", kFlightSchema);
+  w.member("schema", kTraceSchema);
+  w.member("capacity", static_cast<std::uint64_t>(recorder.capacity()));
   w.member("recorded", recorder.recorded());
   w.member("dropped", recorder.dropped());
   w.end_object();
 
   w.end_object();
   out << '\n';
-  SYSRLE_ENSURE(out.good(), "flight export: write failed");
+  SYSRLE_ENSURE(out.good(), "trace export: write failed");
 }
 
-void write_flight_chrome_trace_file(const FlightRecorder& recorder,
-                                    const std::string& path) {
+void write_chrome_trace_file(const FlightRecorder& recorder,
+                             const std::string& path) {
   std::ofstream out(path, std::ios::binary);
-  SYSRLE_REQUIRE(out.is_open(),
-                 "flight export: cannot open for write: " + path);
-  write_flight_chrome_trace(recorder, out);
+  SYSRLE_REQUIRE(out.is_open(), "trace export: cannot open for write: " + path);
+  write_chrome_trace(recorder, out);
 }
 
 }  // namespace sysrle

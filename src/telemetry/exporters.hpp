@@ -1,12 +1,12 @@
 #pragma once
 // Exporters for the telemetry layer:
 //   * a JSON metrics snapshot ("sysrle.metrics.v1" — counters, gauges,
-//     histograms with moments, p50/p95/p99 and bucket counts), and
-//   * a Chrome trace_event file (the object form with "traceEvents"),
-//     loadable directly by chrome://tracing and Perfetto, and
-//   * flight-recorder dumps ("sysrle.flight.v1"): a JSONL stream of ring
-//     events and retained anomaly timelines, plus a Chrome trace rendering
-//     with flow events linking hedge attempts to their primaries.
+//     histograms with moments, p50/p95/p99 and bucket counts),
+//   * the flight recorder as JSONL ("sysrle.flight.v1"): ring events and
+//     retained anomaly timelines, and
+//   * the flight recorder as a Chrome trace_event file ("sysrle.trace.v2",
+//     the object form with "traceEvents"), loadable directly by
+//     chrome://tracing and Perfetto.
 //
 // Schema versioning policy (docs/OBSERVABILITY.md): the "schema" string is
 // bumped whenever a field is removed or changes meaning; adding fields is
@@ -17,7 +17,6 @@
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/span.hpp"
 
 namespace sysrle {
 
@@ -27,16 +26,12 @@ inline constexpr const char* kMetricsSchema = "sysrle.metrics.v1";
 /// Schema identifier on the header line of every flight-recorder JSONL dump.
 inline constexpr const char* kFlightSchema = "sysrle.flight.v1";
 
+/// Schema identifier in the "otherData" of every Chrome trace.
+inline constexpr const char* kTraceSchema = "sysrle.trace.v2";
+
 /// Writes the snapshot as indented JSON.
 void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out);
 void write_metrics_json_file(const MetricsSnapshot& snapshot,
-                             const std::string& path);
-
-/// Writes the tracer's events as a Chrome trace.  Events are complete
-/// ("ph":"X") events sorted by timestamp; a process-name metadata event and
-/// a drop count ride along in "otherData".
-void write_chrome_trace(const SpanTracer& tracer, std::ostream& out);
-void write_chrome_trace_file(const SpanTracer& tracer,
                              const std::string& path);
 
 /// Writes the recorder as JSONL ("sysrle.flight.v1"): one compact JSON
@@ -48,13 +43,15 @@ void write_flight_jsonl(const FlightRecorder& recorder, std::ostream& out);
 void write_flight_jsonl_file(const FlightRecorder& recorder,
                              const std::string& path);
 
-/// Writes the recorder as a Chrome trace: one instant event per flight
-/// event, tracked per shard/replica, with flow events ("ph":"s"/"f",
-/// id = request id) linking each hedge_fired to the hedge_won/hedge_lost
-/// resolution so the hedge's relationship to its primary is a drawn arrow.
-void write_flight_chrome_trace(const FlightRecorder& recorder,
-                               std::ostream& out);
-void write_flight_chrome_trace_file(const FlightRecorder& recorder,
-                                    const std::string& path);
+/// Writes the recorder's ring as a Chrome trace ("sysrle.trace.v2"), in
+/// start-time order, one lane ("tid") per recording thread: each span as a
+/// complete event ("ph":"X", dur = its µs), each other event as an instant
+/// ("ph":"i") named by its kind, every event's RequestContext in its args,
+/// and flow events ("ph":"s"/"f", id = request id) linking each hedge_fired
+/// to its hedge_won/hedge_lost resolution.  A process-name metadata event
+/// leads; the ring accounting rides along in "otherData".
+void write_chrome_trace(const FlightRecorder& recorder, std::ostream& out);
+void write_chrome_trace_file(const FlightRecorder& recorder,
+                             const std::string& path);
 
 }  // namespace sysrle

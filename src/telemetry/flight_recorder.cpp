@@ -34,6 +34,7 @@ const char* to_string(FlightEventKind kind) {
     case FlightEventKind::kJournalAppend: return "journal_append";
     case FlightEventKind::kSnapshot: return "snapshot";
     case FlightEventKind::kRecoveryDrop: return "recovery_drop";
+    case FlightEventKind::kSpan: return "span";
   }
   return "unknown";
 }
@@ -47,6 +48,13 @@ std::size_t round_up_pow2(std::size_t n) {
 }
 
 }  // namespace
+
+std::uint32_t current_thread_ordinal() {
+  static std::atomic<std::uint32_t> next{1};
+  thread_local std::uint32_t ordinal =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
 
 FlightRecorder::FlightRecorder(std::size_t capacity, std::size_t max_retained)
     : epoch_(std::chrono::steady_clock::now()),
@@ -81,40 +89,59 @@ void FlightRecorder::record_at(std::uint64_t ts_us, FlightEventKind kind,
     std::this_thread::yield();
   // Claim (odd word): readers mid-snapshot skip this slot.
   s.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  s.ts_us.store(ts_us, std::memory_order_relaxed);
-  s.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
-  s.ctx_active.store(ctx.active, std::memory_order_relaxed);
-  s.request_id.store(ctx.request_id, std::memory_order_relaxed);
-  s.attempt.store(ctx.attempt, std::memory_order_relaxed);
-  s.shard.store(ctx.shard, std::memory_order_relaxed);
-  s.replica.store(ctx.replica, std::memory_order_relaxed);
-  s.detail.store(detail, std::memory_order_relaxed);
-  s.arg.store(arg, std::memory_order_relaxed);
+  // Release payload stores pair with snapshot()'s acquire payload loads: a
+  // reader that sees any field of this event also sees the odd claim word
+  // on its recheck, so it never keeps a torn event.
+  s.ts_us.store(ts_us, std::memory_order_release);
+  s.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_release);
+  s.ctx_active.store(ctx.active, std::memory_order_release);
+  s.request_id.store(ctx.request_id, std::memory_order_release);
+  s.attempt.store(ctx.attempt, std::memory_order_release);
+  s.shard.store(ctx.shard, std::memory_order_release);
+  s.replica.store(ctx.replica, std::memory_order_release);
+  s.detail.store(detail, std::memory_order_release);
+  s.arg.store(arg, std::memory_order_release);
+  s.tid.store(current_thread_ordinal(), std::memory_order_release);
   // Publish: the slot is now free for ticket + capacity.
   s.seq.store(2 * (ticket + capacity_), std::memory_order_release);
 }
 
+void FlightRecorder::record_span(const char* name, std::uint64_t start_us) {
+  const std::uint64_t end_us = now_us();
+  record_at(start_us, FlightEventKind::kSpan, current_request_context(), name,
+            end_us >= start_us ? end_us - start_us : 0);
+}
+
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
+  // Until the ring first wraps, only slots below the head ticket were ever
+  // written: scan that prefix, so a large, mostly empty ring (retain() runs
+  // this on the serving path) costs what it holds, not what it could hold.
+  const std::size_t live = static_cast<std::size_t>(std::min<std::uint64_t>(
+      capacity_, head_.load(std::memory_order_relaxed)));
   std::vector<FlightEvent> out;
-  out.reserve(capacity_);
-  for (std::size_t i = 0; i < capacity_; ++i) {
+  out.reserve(live);
+  for (std::size_t i = 0; i < live; ++i) {
     const Slot& s = slots_[i];
     const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
     if (s1 & 1) continue;                    // writer mid-store
     if (s1 / 2 < capacity_) continue;        // never written
     FlightEvent e;
     e.seq = s1 / 2 - capacity_;
-    e.ts_us = s.ts_us.load(std::memory_order_relaxed);
+    // Acquire payload loads: the seq recheck below cannot be reordered
+    // before any of them, and a field written by a newer writer makes that
+    // writer's odd claim word visible to the recheck.  (A standalone fence
+    // would order the loads too, but TSan cannot model fences.)
+    e.ts_us = s.ts_us.load(std::memory_order_acquire);
     e.kind = static_cast<FlightEventKind>(
-        s.kind.load(std::memory_order_relaxed));
-    e.ctx.active = s.ctx_active.load(std::memory_order_relaxed);
-    e.ctx.request_id = s.request_id.load(std::memory_order_relaxed);
-    e.ctx.attempt = s.attempt.load(std::memory_order_relaxed);
-    e.ctx.shard = s.shard.load(std::memory_order_relaxed);
-    e.ctx.replica = s.replica.load(std::memory_order_relaxed);
-    e.detail = s.detail.load(std::memory_order_relaxed);
-    e.arg = s.arg.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+        s.kind.load(std::memory_order_acquire));
+    e.ctx.active = s.ctx_active.load(std::memory_order_acquire);
+    e.ctx.request_id = s.request_id.load(std::memory_order_acquire);
+    e.ctx.attempt = s.attempt.load(std::memory_order_acquire);
+    e.ctx.shard = s.shard.load(std::memory_order_acquire);
+    e.ctx.replica = s.replica.load(std::memory_order_acquire);
+    e.detail = s.detail.load(std::memory_order_acquire);
+    e.arg = s.arg.load(std::memory_order_acquire);
+    e.tid = s.tid.load(std::memory_order_acquire);
     // Unchanged seq = the payload reads above were not overwritten; a
     // changed seq means the slot was recycled mid-read — drop it (the new
     // event will be seen by a later snapshot).

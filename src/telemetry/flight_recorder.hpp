@@ -1,5 +1,6 @@
 #pragma once
-// Flight recorder: a bounded lock-free ring of per-request serving events,
+// Flight recorder: the one event stream.  A bounded lock-free ring of
+// timed events — per-request serving events and TELEMETRY_SPAN scopes —
 // with anomaly-triggered timeline retention.
 //
 // Aggregate counters (`router.*`, `service.*`) say *how often* the serving
@@ -7,27 +8,31 @@
 // happened to request 1731.  The flight recorder can: every admission,
 // queue transition, dispatch, hedge, failover, breaker trip, and response
 // is recorded as one fixed-size event carrying the RequestContext, into a
-// ring whose write path is a ticket fetch_add plus relaxed stores — no
-// mutex, no allocation — so it can sit on the serving path.  When the ring
-// wraps, the oldest events are overwritten (a flight recorder keeps the
-// *recent* past; the per-request `retain` mechanism below preserves the
-// interesting bits beyond that horizon).
+// ring whose write path is a ticket fetch_add plus plain stores — no
+// mutex, no allocation — so it can sit on the serving path.  Timed scopes
+// (TELEMETRY_SPAN below) land in the same ring as `span` events, annotated
+// with the same context, so one request's engine work and its serving
+// events read out of one place.  When the ring wraps, the oldest events are
+// overwritten (a flight recorder keeps the *recent* past; the per-request
+// `retain` mechanism below preserves the interesting bits beyond that
+// horizon).
 //
 // Anomalies — a deadline expiry, a typed shed, a breaker opening, a hedge
 // win — call `retain(request_id, anomaly)`: the request's completed
 // timeline is copied out of the ring into a bounded retained set
 // (mutex-guarded; retention is the cold path) and survives later ring
 // wraps.  Exporters (telemetry/exporters.hpp) dump the ring and the
-// retained timelines as JSONL (`sysrle.flight.v1`) and as a Chrome trace
-// with flow events linking hedge attempts to their primaries.
+// retained timelines as JSONL (`sysrle.flight.v1`) and the ring as a Chrome
+// trace (`sysrle.trace.v2`).
 //
 // Enabling: install a recorder with set_flight_recorder(&fr).  Recording
-// sites call flight_record(...), whose disabled fast path is a single
-// relaxed atomic pointer load — the same contract as telemetry_enabled().
+// sites call flight_record(...) or open a TELEMETRY_SPAN, whose disabled
+// fast path is a single relaxed atomic pointer load.
 //
-// Sizing: one slot is ~64 bytes; a request produces ~4 events (admit,
+// Sizing: one slot is ~72 bytes; a request produces ~4 events (admit,
 // enqueue/dequeue, dispatch, respond) plus one per hedge/failover/coalesce
-// decision, so capacity N reconstructs roughly the last N/6 requests.
+// decision, one `service.request` span and one span per streamed row, so
+// capacity N reconstructs roughly the last N/(rows + 7) requests.
 
 #include <atomic>
 #include <chrono>
@@ -68,6 +73,8 @@ enum class FlightEventKind : std::uint8_t {
   kJournalAppend,     ///< durable store journaled a record (detail = kind)
   kSnapshot,          ///< durable store wrote a snapshot (arg = entries)
   kRecoveryDrop,      ///< recovery dropped an entry (detail = reason)
+  kSpan,              ///< a timed scope closed (ts = start, detail = name,
+                      ///< arg = duration µs)
 };
 
 /// Human-readable (and JSONL) kind name, e.g. "hedge_fired".
@@ -82,7 +89,12 @@ struct FlightEvent {
   RequestContext ctx;
   const char* detail = "";  ///< string literal: reason/status/label
   std::uint64_t arg = 0;    ///< kind-specific payload (µs, linked id, ...)
+  std::uint32_t tid = 0;    ///< recording thread's current_thread_ordinal()
 };
+
+/// Small dense id for the calling thread (1, 2, 3, ... in order of first
+/// use) — far more readable in a trace viewer than a hashed pthread id.
+std::uint32_t current_thread_ordinal();
 
 /// Bounded lock-free event ring + bounded retained-timeline set.
 class FlightRecorder {
@@ -93,8 +105,9 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t capacity = 1 << 14,
                           std::size_t max_retained = 256);
 
-  /// Records one event (thread-safe, lock-free: ticket fetch_add + relaxed
-  /// payload stores).  `detail` must be a string literal.
+  /// Records one event (thread-safe, lock-free: ticket fetch_add + release
+  /// payload stores), tagged with the calling thread's ordinal.  `detail`
+  /// must be a string literal.
   void record(FlightEventKind kind, const RequestContext& ctx,
               const char* detail = "", std::uint64_t arg = 0);
 
@@ -103,6 +116,10 @@ class FlightRecorder {
   void record_at(std::uint64_t ts_us, FlightEventKind kind,
                  const RequestContext& ctx, const char* detail = "",
                  std::uint64_t arg = 0);
+
+  /// Records a kSpan event for a scope named `name` (a string literal) that
+  /// opened at `start_us` and closes now, under the thread's RequestContext.
+  void record_span(const char* name, std::uint64_t start_us);
 
   /// Copies the request's events out of the ring into the retained set
   /// (idempotent per request id; later retains of the same id replace the
@@ -136,8 +153,9 @@ class FlightRecorder {
  private:
   // One ring slot.  `seq` is the publication word: even = published (value
   // 2*(ticket + capacity)), odd = a writer is mid-store.  Payload fields
-  // are relaxed atomics so concurrent snapshot() reads are race-free; the
-  // seq acquire/release pair orders them.
+  // are atomics so concurrent snapshot() reads are race-free; the seq
+  // release store publishes them, and snapshot()'s acquire payload loads
+  // keep its seq recheck ordered after them.
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> ts_us{0};
@@ -149,6 +167,7 @@ class FlightRecorder {
     std::atomic<std::int32_t> replica{-1};
     std::atomic<const char*> detail{""};
     std::atomic<std::uint64_t> arg{0};
+    std::atomic<std::uint32_t> tid{0};
   };
 
   std::chrono::steady_clock::time_point epoch_;
@@ -173,7 +192,8 @@ inline FlightRecorder* flight_recorder() {
 }
 
 /// Installs (or, with nullptr, removes) the global recorder.  The caller
-/// owns the recorder and must keep it alive while installed.
+/// owns the recorder and must keep it alive while installed and until every
+/// TelemetrySpan opened while it was installed has closed.
 void set_flight_recorder(FlightRecorder* recorder);
 
 /// Records into the global recorder when one is installed; a no-op
@@ -187,5 +207,37 @@ inline void flight_record(FlightEventKind kind, const RequestContext& ctx,
 inline void flight_retain(std::uint64_t request_id, const char* anomaly) {
   if (FlightRecorder* fr = flight_recorder()) fr->retain(request_id, anomaly);
 }
+
+/// RAII timed scope: records one kSpan event into the recorder installed
+/// when it opened.  With no recorder installed it costs one relaxed load
+/// and never reads the clock; a recorder removed before the scope closes
+/// gets nothing.  `name` must be a string literal (dotted, module first:
+/// "stream.push_row").  Prefer the TELEMETRY_SPAN macro.
+class TelemetrySpan {
+ public:
+  explicit TelemetrySpan(const char* name)
+      : recorder_(flight_recorder()), name_(name) {
+    if (recorder_ != nullptr) start_us_ = recorder_->now_us();
+  }
+  ~TelemetrySpan() {
+    if (recorder_ != nullptr && recorder_ == flight_recorder())
+      recorder_->record_span(name_, start_us_);
+  }
+
+  TelemetrySpan(const TelemetrySpan&) = delete;
+  TelemetrySpan& operator=(const TelemetrySpan&) = delete;
+
+ private:
+  FlightRecorder* recorder_;
+  const char* name_;
+  std::uint64_t start_us_ = 0;
+};
+
+#define SYSRLE_SPAN_CONCAT2(a, b) a##b
+#define SYSRLE_SPAN_CONCAT(a, b) SYSRLE_SPAN_CONCAT2(a, b)
+
+/// Opens a span covering the rest of the enclosing scope.
+#define TELEMETRY_SPAN(name) \
+  ::sysrle::TelemetrySpan SYSRLE_SPAN_CONCAT(telemetry_span_, __LINE__)(name)
 
 }  // namespace sysrle

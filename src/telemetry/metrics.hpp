@@ -2,8 +2,9 @@
 // Process-wide metrics primitives: named counters, gauges and histograms
 // behind one mutex-guarded registry.
 //
-// The registry is the quantitative half of the telemetry layer (spans in
-// telemetry/span.hpp are the temporal half).  Hot paths feed it per *row*,
+// The registry is the quantitative half of the telemetry layer (the flight
+// recorder's events and spans, telemetry/flight_recorder.hpp, are the
+// temporal half).  Hot paths feed it per *row*,
 // not per systolic iteration, so a mutex + map lookup is cheap relative to
 // the work being measured; when telemetry is disabled (the default) the
 // instrumentation sites never call in at all — see telemetry/telemetry.hpp

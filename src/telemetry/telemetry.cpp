@@ -15,14 +15,6 @@ MetricsRegistry& global_metrics() {
   return registry;
 }
 
-SpanTracer& global_tracer() {
-  static SpanTracer tracer;
-  return tracer;
-}
-
-void reset_telemetry() {
-  global_metrics().reset();
-  global_tracer().clear();
-}
+void reset_telemetry() { global_metrics().reset(); }
 
 }  // namespace sysrle

@@ -1,7 +1,6 @@
 #pragma once
-// Global telemetry switchboard: one process-wide MetricsRegistry, one
-// process-wide SpanTracer, and an enable flag that instrumentation sites
-// check before doing any work.
+// Global telemetry switchboard: one process-wide MetricsRegistry and an
+// enable flag that metric sites check before doing any work.
 //
 // Telemetry is OFF by default.  The disabled fast path at every
 // instrumentation site is a single relaxed atomic load (telemetry_enabled()
@@ -9,14 +8,18 @@
 // uninstrumented build — bench_micro's BM_SystolicSimulation* pair measures
 // exactly this.
 //
-// Who turns it on: the CLI when --metrics/--trace-out are passed, the
-// `sysrle perf` subcommand, benches measuring instrumented throughput, and
-// tests.  Libraries never enable it themselves.
+// Who turns it on: the CLI when --metrics is passed, the `sysrle perf`
+// subcommand, benches measuring instrumented throughput, and tests.
+// Libraries never enable it themselves.
+//
+// Timed scopes (TELEMETRY_SPAN) do not read this flag: they record into the
+// installed flight recorder (telemetry/flight_recorder.hpp), the one event
+// stream, and cost one relaxed load when none is installed.
 
 #include <atomic>
 
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/span.hpp"
 
 namespace sysrle {
 
@@ -36,10 +39,7 @@ void set_telemetry_enabled(bool on);
 /// The process-wide registry instrumentation records into.
 MetricsRegistry& global_metrics();
 
-/// The process-wide tracer TELEMETRY_SPAN records into.
-SpanTracer& global_tracer();
-
-/// Clears both global sinks (the CLI scopes a run with this; tests too).
+/// Clears the global registry (the CLI scopes a run with this; tests too).
 /// Does not change the enable flag.
 void reset_telemetry();
 

@@ -400,14 +400,17 @@ TEST_F(CliFixture, TraceOutWritesValidChromeTrace) {
   EXPECT_EQ(events.array[0].at("ph").string, "M");
   double prev_ts = -1.0;
   std::size_t complete = 0;
+  bool image_diff_span = false;
   for (const JsonValue& e : events.array) {
     if (e.at("ph").string != "X") continue;
     ++complete;
     EXPECT_GE(e.at("ts").number, prev_ts);
     prev_ts = e.at("ts").number;
+    if (e.at("name").string == "image_diff") image_diff_span = true;
   }
   EXPECT_GE(complete, 1u);
-  EXPECT_EQ(root.at("otherData").at("schema").string, "sysrle.trace.v1");
+  EXPECT_TRUE(image_diff_span);
+  EXPECT_EQ(root.at("otherData").at("schema").string, "sysrle.trace.v2");
 }
 
 TEST_F(CliFixture, PerfEmitsSchemaJsonAndExportsFiles) {
@@ -439,7 +442,7 @@ TEST_F(CliFixture, PerfEmitsSchemaJsonAndExportsFiles) {
   EXPECT_EQ(parse_json(slurp(mpath)).at("schema").string,
             "sysrle.metrics.v1");
   EXPECT_EQ(parse_json(slurp(tpath)).at("otherData").at("schema").string,
-            "sysrle.trace.v1");
+            "sysrle.trace.v2");
 }
 
 TEST_F(CliFixture, StatsJsonSchemaPinned) {
@@ -671,9 +674,9 @@ TEST_F(CliFixture, ServeFlightRecorderExportsJsonlAndKillShowsInReport) {
   const std::string reqs = write_requests_file("serve_flight.txt", lines);
   const std::string jsonl = tmp_path("flight.jsonl");
   const std::string trace = tmp_path("flight_trace.json");
-  const CliRun r = cli({"serve", "--requests", reqs, "--shards", "1",
-                        "--replicas", "2", "--flight-recorder", "1024",
-                        "--flight-out", jsonl, "--flight-trace", trace,
+  const CliRun r = cli({"--trace-out", trace, "serve", "--requests", reqs,
+                        "--shards", "1", "--replicas", "2",
+                        "--flight-recorder", "1024", "--flight-out", jsonl,
                         "--kill-replica", "0.1@3", "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
 
@@ -704,9 +707,46 @@ TEST_F(CliFixture, ServeFlightRecorderExportsJsonlAndKillShowsInReport) {
   }
   EXPECT_EQ(rids.size(), 6u) << "every offered request has flight events";
 
-  // The Chrome rendering parses and contains flight instants.
+  // --trace-out renders the same ring as one Chrome trace: the engine
+  // spans each request's worker recorded sit beside that request's
+  // instants, joined by request id.
   const JsonValue troot = parse_json(slurp(trace));
-  EXPECT_GE(troot.at("traceEvents").array.size(), 2u);
+  EXPECT_EQ(troot.at("otherData").at("schema").string, "sysrle.trace.v2");
+  EXPECT_DOUBLE_EQ(troot.at("otherData").at("capacity").number, 1024.0);
+  std::set<double> instant_rids, span_rids;
+  for (const JsonValue& e : troot.at("traceEvents").array) {
+    const std::string& ph = e.at("ph").string;
+    if (ph != "X" && ph != "i") continue;
+    const JsonValue& args = e.at("args");
+    if (args.find("request_id") == nullptr) continue;
+    (ph == "X" ? span_rids : instant_rids).insert(args.at("request_id").number);
+  }
+  EXPECT_EQ(instant_rids.size(), 6u);
+  EXPECT_FALSE(span_rids.empty()) << "no request-annotated span events";
+  for (const double rid : span_rids)
+    EXPECT_EQ(instant_rids.count(rid), 1u) << "span for unknown request " << rid;
+}
+
+TEST_F(CliFixture, ServeTraceOutAloneInstallsTheDefaultRecorder) {
+  const std::string reqs = write_requests_file(
+      "serve_trace_only.txt", "batch 4 200 0.02\ninteractive 4 200 0.02\n");
+  const std::string trace = tmp_path("serve_trace_only.json");
+  const CliRun r =
+      cli({"--trace-out", trace, "serve", "--requests", reqs, "--json"});
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+
+  // No --flight-recorder: --trace-out's recorder (65536 slots) is the one
+  // the serve report describes.
+  const JsonValue root = parse_json(r.out);
+  EXPECT_DOUBLE_EQ(root.at("params").at("flight_recorder").number, 0.0);
+  EXPECT_DOUBLE_EQ(root.at("flight").at("capacity").number, 65536.0);
+  const JsonValue troot = parse_json(slurp(trace));
+  EXPECT_DOUBLE_EQ(troot.at("otherData").at("capacity").number, 65536.0);
+  std::size_t request_spans = 0;
+  for (const JsonValue& e : troot.at("traceEvents").array)
+    if (e.at("ph").string == "X" && e.at("name").string == "service.request")
+      ++request_spans;
+  EXPECT_EQ(request_spans, 2u);
 }
 
 TEST_F(CliFixture, ServeRejectsBadObservabilityFlags) {

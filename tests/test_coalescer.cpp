@@ -19,6 +19,12 @@ RleImage make_image(std::uint64_t seed, pos_t rows = 8, pos_t width = 256) {
   return generate_image(rng, rows, p);
 }
 
+/// The key the router builds for a by-value diff of `a` against `b`.
+ResultKey key_of(const RleImage& a, const RleImage& b,
+                 const ImageDiffOptions& options) {
+  return result_key(image_fingerprint(a), image_fingerprint(b), options);
+}
+
 TEST(Coalescer, FingerprintIsStableAndContentSensitive) {
   const RleImage a = make_image(1);
   const RleImage a2 = make_image(1);
@@ -41,17 +47,17 @@ TEST(Coalescer, KeyDistinguishesEngineAndCanonicalization) {
   ImageDiffOptions no_canon = base;
   no_canon.canonicalize_output = !base.canonicalize_output;
 
-  const CoalesceKey k = coalesce_key(a, b, base);
-  EXPECT_EQ(k, coalesce_key(a, b, base));
-  EXPECT_FALSE(k == coalesce_key(a, b, other_engine));
-  EXPECT_FALSE(k == coalesce_key(a, b, no_canon));
-  EXPECT_FALSE(k == coalesce_key(b, a, base));  // order matters
+  const ResultKey k = key_of(a, b, base);
+  EXPECT_EQ(k, key_of(a, b, base));
+  EXPECT_FALSE(k == key_of(a, b, other_engine));
+  EXPECT_FALSE(k == key_of(a, b, no_canon));
+  EXPECT_FALSE(k == key_of(b, a, base));  // order matters
 }
 
 TEST(Coalescer, SecondAdmitOfSameWorkAttachesAsWaiter) {
   const RleImage a = make_image(5);
   const RleImage b = make_image(6);
-  const CoalesceKey key = coalesce_key(a, b, {});
+  const ResultKey key = key_of(a, b, {});
   Coalescer c;
 
   const auto first = c.admit(key, a, b, 11);
@@ -68,7 +74,7 @@ TEST(Coalescer, SecondAdmitOfSameWorkAttachesAsWaiter) {
 TEST(Coalescer, FinishMakesTheKeyAdmittableAgain) {
   const RleImage a = make_image(7);
   const RleImage b = make_image(8);
-  const CoalesceKey key = coalesce_key(a, b, {});
+  const ResultKey key = key_of(a, b, {});
   Coalescer c;
   ASSERT_TRUE(c.admit(key, a, b, 1).primary);
   c.finish(key);
@@ -81,7 +87,7 @@ TEST(Coalescer, FingerprintCollisionRunsUncoalescedAndUnregistered) {
   const RleImage b = make_image(10);
   const RleImage c_img = make_image(11);
   const RleImage d = make_image(12);
-  const CoalesceKey key = coalesce_key(a, b, {});
+  const ResultKey key = key_of(a, b, {});
   Coalescer c;
   ASSERT_TRUE(c.admit(key, a, b, 1).primary);
 
@@ -102,7 +108,7 @@ TEST(Coalescer, FingerprintCollisionRunsUncoalescedAndUnregistered) {
 TEST(Coalescer, ReassignHandsOwnershipToThePromotedWaiter) {
   const RleImage a = make_image(13);
   const RleImage b = make_image(14);
-  const CoalesceKey key = coalesce_key(a, b, {});
+  const ResultKey key = key_of(a, b, {});
   Coalescer c;
   ASSERT_TRUE(c.admit(key, a, b, 1).primary);
   c.reassign(key, 42);

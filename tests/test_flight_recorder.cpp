@@ -1,14 +1,15 @@
 // Tests for the flight recorder: lock-free ring semantics (ordering, wrap,
-// torn-read rejection), per-request timelines, anomaly retention bounds,
-// the JSONL / Chrome-trace exporters (including a golden hedge-win dump
-// pinned byte-for-byte), and a concurrent writer/snapshot hammer that CI
-// runs under TSan.
+// torn-read rejection, per-thread tids), per-request timelines, anomaly
+// retention bounds, the JSONL / Chrome-trace exporters (including a golden
+// hedge-win dump pinned byte-for-byte), and a concurrent writer/snapshot
+// hammer that CI runs under TSan.
 
 #include "telemetry/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
@@ -68,6 +69,13 @@ TEST(FlightRecorder, RecordsEventsInSeqOrderWithFullPayload) {
   EXPECT_EQ(fr.dropped(), 0u);
 }
 
+TEST(FlightRecorder, NowIsMonotonic) {
+  FlightRecorder fr(64);
+  const std::uint64_t t0 = fr.now_us();
+  const std::uint64_t t1 = fr.now_us();
+  EXPECT_LE(t0, t1);
+}
+
 TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwoMinimum64) {
   EXPECT_EQ(FlightRecorder(0).capacity(), 64u);
   EXPECT_EQ(FlightRecorder(65).capacity(), 128u);
@@ -118,6 +126,7 @@ TEST(FlightRecorder, KindNamesAreSnakeCase) {
   EXPECT_STREQ(to_string(FlightEventKind::kDeadlineExpired),
                "deadline_expired");
   EXPECT_STREQ(to_string(FlightEventKind::kRespond), "respond");
+  EXPECT_STREQ(to_string(FlightEventKind::kSpan), "span");
 }
 
 // --------------------------------------------------------------- retention
@@ -187,67 +196,94 @@ TEST_F(FlightRecorderTest, GlobalHookIsNullByDefaultAndRecordsWhenInstalled) {
 
 // ---------------------------------------------------------------- exporters
 
+/// The recording threads of the hedge-win story.
+struct HedgeLanes {
+  std::uint32_t primary = 0;
+  std::uint32_t hedge = 0;
+};
+
 /// The deterministic hedge-win story used by the golden dump: primary
-/// dispatch, hedge fired, hedge wins, primary loses, client responds.
-void record_hedge_win(FlightRecorder& fr) {
+/// dispatch, hedge fired, hedge wins, primary loses, client responds.  The
+/// hedge's dispatch and win are recorded on a second thread.
+HedgeLanes record_hedge_win(FlightRecorder& fr) {
+  HedgeLanes lanes;
+  lanes.primary = current_thread_ordinal();
   fr.record_at(10, FlightEventKind::kAdmit, ctx_of(3), "primary");
   fr.record_at(20, FlightEventKind::kDispatch, ctx_of(3, 0, 0, 0), "primary",
                1);
   fr.record_at(30, FlightEventKind::kHedgeFired, ctx_of(3, 0, 0, 0),
                "in_shard");
-  fr.record_at(31, FlightEventKind::kDispatch, ctx_of(3, 1, 0, 1), "hedge",
-               2);
-  fr.record_at(40, FlightEventKind::kHedgeWon, ctx_of(3, 1, 0, 1));
+  std::thread([&] {
+    lanes.hedge = current_thread_ordinal();
+    fr.record_at(31, FlightEventKind::kDispatch, ctx_of(3, 1, 0, 1), "hedge",
+                 2);
+    fr.record_at(40, FlightEventKind::kHedgeWon, ctx_of(3, 1, 0, 1));
+  }).join();
   fr.record_at(41, FlightEventKind::kRespond, ctx_of(3), "completed", 31);
   fr.retain(3, "hedge_won");
+  return lanes;
+}
+
+/// Replaces every `from` in `text` with `to`.
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size()))
+    text.replace(at, from.size(), to);
+  return text;
 }
 
 TEST(FlightRecorder, GoldenHedgeWinJsonl) {
   FlightRecorder fr(64, 4);
-  record_hedge_win(fr);
+  const HedgeLanes lanes = record_hedge_win(fr);
   std::ostringstream os;
   write_flight_jsonl(fr, os);
 
-  const std::string expected =
+  // Thread ordinals depend on what ran before in this process; @P and @H
+  // stand for the primary's and the hedge's.
+  const std::string golden =
       "{\"type\":\"header\",\"schema\":\"sysrle.flight.v1\",\"capacity\":64,"
       "\"recorded\":6,\"dropped\":0,\"retained\":1,\"retain_dropped\":0}\n"
       "{\"type\":\"event\",\"seq\":0,\"ts_us\":10,\"kind\":\"admit\","
       "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":-1,"
-      "\"replica\":-1,\"detail\":\"primary\",\"arg\":0}\n"
+      "\"replica\":-1,\"detail\":\"primary\",\"arg\":0,\"tid\":@P}\n"
       "{\"type\":\"event\",\"seq\":1,\"ts_us\":20,\"kind\":\"dispatch\","
       "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":0,"
-      "\"replica\":0,\"detail\":\"primary\",\"arg\":1}\n"
+      "\"replica\":0,\"detail\":\"primary\",\"arg\":1,\"tid\":@P}\n"
       "{\"type\":\"event\",\"seq\":2,\"ts_us\":30,\"kind\":\"hedge_fired\","
       "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":0,"
-      "\"replica\":0,\"detail\":\"in_shard\",\"arg\":0}\n"
+      "\"replica\":0,\"detail\":\"in_shard\",\"arg\":0,\"tid\":@P}\n"
       "{\"type\":\"event\",\"seq\":3,\"ts_us\":31,\"kind\":\"dispatch\","
       "\"active\":true,\"request_id\":3,\"attempt\":1,\"shard\":0,"
-      "\"replica\":1,\"detail\":\"hedge\",\"arg\":2}\n"
+      "\"replica\":1,\"detail\":\"hedge\",\"arg\":2,\"tid\":@H}\n"
       "{\"type\":\"event\",\"seq\":4,\"ts_us\":40,\"kind\":\"hedge_won\","
       "\"active\":true,\"request_id\":3,\"attempt\":1,\"shard\":0,"
-      "\"replica\":1,\"detail\":\"\",\"arg\":0}\n"
+      "\"replica\":1,\"detail\":\"\",\"arg\":0,\"tid\":@H}\n"
       "{\"type\":\"event\",\"seq\":5,\"ts_us\":41,\"kind\":\"respond\","
       "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":-1,"
-      "\"replica\":-1,\"detail\":\"completed\",\"arg\":31}\n"
+      "\"replica\":-1,\"detail\":\"completed\",\"arg\":31,\"tid\":@P}\n"
       "{\"type\":\"retained\",\"request_id\":3,\"anomaly\":\"hedge_won\","
       "\"events\":[{\"seq\":0,\"ts_us\":10,\"kind\":\"admit\","
       "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":-1,"
-      "\"replica\":-1,\"detail\":\"primary\",\"arg\":0},"
+      "\"replica\":-1,\"detail\":\"primary\",\"arg\":0,\"tid\":@P},"
       "{\"seq\":1,\"ts_us\":20,\"kind\":\"dispatch\",\"active\":true,"
       "\"request_id\":3,\"attempt\":0,\"shard\":0,\"replica\":0,"
-      "\"detail\":\"primary\",\"arg\":1},"
+      "\"detail\":\"primary\",\"arg\":1,\"tid\":@P},"
       "{\"seq\":2,\"ts_us\":30,\"kind\":\"hedge_fired\",\"active\":true,"
       "\"request_id\":3,\"attempt\":0,\"shard\":0,\"replica\":0,"
-      "\"detail\":\"in_shard\",\"arg\":0},"
+      "\"detail\":\"in_shard\",\"arg\":0,\"tid\":@P},"
       "{\"seq\":3,\"ts_us\":31,\"kind\":\"dispatch\",\"active\":true,"
       "\"request_id\":3,\"attempt\":1,\"shard\":0,\"replica\":1,"
-      "\"detail\":\"hedge\",\"arg\":2},"
+      "\"detail\":\"hedge\",\"arg\":2,\"tid\":@H},"
       "{\"seq\":4,\"ts_us\":40,\"kind\":\"hedge_won\",\"active\":true,"
       "\"request_id\":3,\"attempt\":1,\"shard\":0,\"replica\":1,"
-      "\"detail\":\"\",\"arg\":0},"
+      "\"detail\":\"\",\"arg\":0,\"tid\":@H},"
       "{\"seq\":5,\"ts_us\":41,\"kind\":\"respond\",\"active\":true,"
       "\"request_id\":3,\"attempt\":0,\"shard\":-1,\"replica\":-1,"
-      "\"detail\":\"completed\",\"arg\":31}]}\n";
+      "\"detail\":\"completed\",\"arg\":31,\"tid\":@P}]}\n";
+  const std::string expected =
+      replace_all(replace_all(golden, "@P", std::to_string(lanes.primary)),
+                  "@H", std::to_string(lanes.hedge));
   EXPECT_EQ(os.str(), expected);
 }
 
@@ -276,9 +312,9 @@ TEST(FlightRecorder, JsonlLinesParseIndividually) {
 
 TEST(FlightRecorder, ChromeTraceLinksHedgeWithFlowEvents) {
   FlightRecorder fr(64);
-  record_hedge_win(fr);
+  const HedgeLanes lanes = record_hedge_win(fr);
   std::ostringstream os;
-  write_flight_chrome_trace(fr, os);
+  write_chrome_trace(fr, os);
   const JsonValue root = parse_json(os.str());
 
   const JsonValue& events = root.at("traceEvents");
@@ -288,23 +324,43 @@ TEST(FlightRecorder, ChromeTraceLinksHedgeWithFlowEvents) {
     const std::string ph = e.at("ph").string;
     if (ph == "i") {
       ++instants;
-      EXPECT_EQ(e.at("cat").string, "flight");
       EXPECT_DOUBLE_EQ(e.at("args").at("request_id").number, 3.0);
     } else if (ph == "s") {
       flow_start = true;
       EXPECT_DOUBLE_EQ(e.at("id").number, 3.0);
-      // The hedge fired from the primary's lane (shard 0, replica 0).
-      EXPECT_DOUBLE_EQ(e.at("tid").number, 1.0);
+      // The hedge fired from the primary's lane (its recording thread) ...
+      EXPECT_DOUBLE_EQ(e.at("tid").number, lanes.primary);
     } else if (ph == "f") {
       flow_end = true;
       EXPECT_EQ(e.at("bp").string, "e");
-      // ... and resolved on the hedge's lane (shard 0, replica 1).
-      EXPECT_DOUBLE_EQ(e.at("tid").number, 2.0);
+      // ... and resolved on the hedge's lane.
+      EXPECT_DOUBLE_EQ(e.at("tid").number, lanes.hedge);
     }
   }
   EXPECT_EQ(instants, 6u);
   EXPECT_TRUE(flow_start);
   EXPECT_TRUE(flow_end);
+  EXPECT_NE(lanes.primary, lanes.hedge);
+  EXPECT_EQ(root.at("otherData").at("schema").string, "sysrle.trace.v2");
+}
+
+TEST(FlightRecorder, SpanEventsExportAsSpanKindInJsonl) {
+  FlightRecorder fr(64);
+  fr.record_at(5, FlightEventKind::kSpan, ctx_of(8, 0, 1, 0), "stream.push_row",
+               12);
+  std::ostringstream os;
+  write_flight_jsonl(fr, os);
+  std::istringstream in(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));  // header
+  ASSERT_TRUE(std::getline(in, line));
+  const JsonValue span = parse_json(line);
+  EXPECT_EQ(span.at("kind").string, "span");
+  EXPECT_EQ(span.at("detail").string, "stream.push_row");
+  EXPECT_DOUBLE_EQ(span.at("ts_us").number, 5.0);
+  EXPECT_DOUBLE_EQ(span.at("arg").number, 12.0);  // duration in µs
+  EXPECT_DOUBLE_EQ(span.at("request_id").number, 8.0);
+  EXPECT_DOUBLE_EQ(span.at("tid").number, current_thread_ordinal());
 }
 
 TEST(FlightRecorder, EmptyRecorderExportsHeaderOnly) {
@@ -328,6 +384,7 @@ TEST(FlightRecorder, ConcurrentWritersAndSnapshotsStayCoherent) {
   constexpr int kEventsPerWriter = 5000;
   std::atomic<bool> stop{false};
   std::atomic<int> ready{0};
+  std::array<std::atomic<std::uint32_t>, kWriters> writer_tid{};
 
   std::thread reader([&] {
     while (!stop.load()) {
@@ -343,6 +400,8 @@ TEST(FlightRecorder, ConcurrentWritersAndSnapshotsStayCoherent) {
         // Payload coherence: every surviving event carries the request id
         // its writer stamped (writer w uses rid = w * 1000000 + i).
         EXPECT_EQ(e.arg, e.ctx.request_id);
+        EXPECT_EQ(e.tid,
+                  writer_tid[static_cast<std::size_t>(e.ctx.shard)].load());
       }
       (void)fr.timeline(1000000);
       fr.retain(1000000, "hammer");
@@ -352,6 +411,7 @@ TEST(FlightRecorder, ConcurrentWritersAndSnapshotsStayCoherent) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      writer_tid[static_cast<std::size_t>(w)] = current_thread_ordinal();
       ready.fetch_add(1);
       while (ready.load() < kWriters) {
       }

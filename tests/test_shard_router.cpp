@@ -221,6 +221,37 @@ TEST(ShardRouter, CoalescedWaiterGetsBitIdenticalResponse) {
   expect_correct_diff(waiter, w);
 }
 
+TEST(ShardRouter, RouteKeyOverrideStillCoalescesByContent) {
+  // A caller-set route key replaces the content route key, but coalescing
+  // still keys on the operands' fingerprints: a duplicate attaches, and a
+  // different pair under the same route key is neither coalesced nor
+  // mistaken for a fingerprint collision.
+  Collector collector;
+  ShardRouter router(small_router(1, 1), collector.callback());
+  const Workload plug_w = make_workload(12);
+  const Workload w = make_workload(13);
+  const Workload other = make_workload(14);
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  for (const auto& [id, work] :
+       {std::pair{100u, &w}, std::pair{101u, &w}, std::pair{102u, &other}}) {
+    ServiceRequest req = make_request(*work, id);
+    req.route_key = 77;
+    ASSERT_FALSE(router.try_submit(std::move(req)).has_value());
+  }
+  release.store(true);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesced, 1u);
+  EXPECT_EQ(st.coalesce_collisions, 0u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(collector.only(100).diff, collector.only(101).diff);
+  expect_correct_diff(collector.only(101), w);
+  expect_correct_diff(collector.only(102), other);
+}
+
 TEST(ShardRouter, WaiterWithShorterDeadlineShedsTypedWhilePrimaryCompletes) {
   Collector collector;
   ShardRouter router(small_router(1, 1), collector.callback());

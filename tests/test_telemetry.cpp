@@ -1,11 +1,14 @@
-// Tests for the telemetry layer: metrics registry, histograms, span tracer,
-// the global enable flag, the exporters, and the bench report builder.
+// Tests for the telemetry layer: metrics registry, histograms, spans in the
+// flight ring, the global enable flag, the exporters, and the bench report
+// builder.
 
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -22,19 +25,30 @@ namespace {
 using testing::JsonValue;
 using testing::parse_json;
 
-/// Every test starts and ends with telemetry disabled and both sinks empty,
-/// so ordering between tests cannot leak state.
+/// Every test starts and ends with telemetry disabled, the registry empty
+/// and no flight recorder installed, so ordering between tests cannot leak
+/// state.
 class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     set_telemetry_enabled(false);
+    set_flight_recorder(nullptr);
     reset_telemetry();
   }
   void TearDown() override {
     set_telemetry_enabled(false);
+    set_flight_recorder(nullptr);
     reset_telemetry();
   }
 };
+
+/// The span events in `fr`'s ring, in record order.
+std::vector<FlightEvent> spans_in(const FlightRecorder& fr) {
+  std::vector<FlightEvent> out;
+  for (const FlightEvent& e : fr.snapshot())
+    if (e.kind == FlightEventKind::kSpan) out.push_back(e);
+  return out;
+}
 
 // ------------------------------------------------------------------ registry
 
@@ -164,7 +178,7 @@ TEST_F(TelemetryTest, DisabledByDefaultAndSitesStaySilent) {
   const RleRow b({{2, 4}});
   (void)systolic_xor(a, b);
   EXPECT_TRUE(global_metrics().empty());
-  EXPECT_EQ(global_tracer().size(), 0u);
+  EXPECT_EQ(flight_recorder(), nullptr);  // spans have nowhere to record
 }
 
 TEST_F(TelemetryTest, EnabledSystolicRunRecordsRowMetrics) {
@@ -199,64 +213,95 @@ TEST_F(TelemetryTest, ObservationBoundHoldsOnRawOutput) {
   EXPECT_EQ(s.counter("systolic.rows"), 50u);
 }
 
-TEST_F(TelemetryTest, ResetTelemetryClearsBothSinksKeepsFlag) {
+TEST_F(TelemetryTest, ResetTelemetryClearsMetricsKeepsFlag) {
   set_telemetry_enabled(true);
   global_metrics().add("x");
-  global_tracer().record("s", "c", 0, 1);
   reset_telemetry();
   EXPECT_TRUE(global_metrics().empty());
-  EXPECT_EQ(global_tracer().size(), 0u);
   EXPECT_TRUE(telemetry_enabled());  // reset does not flip the flag
 }
 
 // -------------------------------------------------------------------- spans
 
-TEST(SpanTracer, RecordsAndSortsByTimestamp) {
-  SpanTracer t;
-  t.record("late", "cat", 100, 5);
-  t.record("early", "cat", 10, 5);
-  t.record("outer", "cat", 10, 50);
-  const std::vector<SpanEvent> events = t.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  // Equal timestamps: the longer (enclosing) span first.
-  EXPECT_STREQ(events[0].name, "outer");
-  EXPECT_STREQ(events[1].name, "early");
-  EXPECT_STREQ(events[2].name, "late");
-}
-
-TEST(SpanTracer, CapacityBoundsBufferAndCountsDrops) {
-  SpanTracer t(2);
-  t.record("a", "c", 0, 1);
-  t.record("b", "c", 1, 1);
-  t.record("c", "c", 2, 1);
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.dropped(), 1u);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped(), 0u);
-}
-
-TEST(SpanTracer, NowIsMonotonic) {
-  SpanTracer t;
-  const std::uint64_t t0 = t.now_us();
-  const std::uint64_t t1 = t.now_us();
-  EXPECT_LE(t0, t1);
-}
-
 TEST_F(TelemetryTest, SpanMacroRecordsOnlyWhenEnabled) {
-  {
-    TELEMETRY_SPAN("disabled_scope");
-  }
-  EXPECT_EQ(global_tracer().size(), 0u);
+  // Recording is enabled by installing a recorder; the metrics flag alone
+  // does not record spans.
   set_telemetry_enabled(true);
+  FlightRecorder fr(64);
   {
-    TELEMETRY_SPAN("enabled_scope", "testcat");
+    TELEMETRY_SPAN("no_recorder_scope");
   }
-  const std::vector<SpanEvent> events = global_tracer().snapshot();
+  set_flight_recorder(&fr);
+  {
+    TELEMETRY_SPAN("enabled_scope");
+  }
+  {
+    // Removed before the scope closes: the span records nothing.
+    TELEMETRY_SPAN("removed_scope");
+    set_flight_recorder(nullptr);
+  }
+  const std::vector<FlightEvent> events = fr.snapshot();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "enabled_scope");
-  EXPECT_STREQ(events[0].category, "testcat");
+  EXPECT_EQ(events[0].kind, FlightEventKind::kSpan);
+  EXPECT_STREQ(events[0].detail, "enabled_scope");
+  EXPECT_EQ(events[0].tid, current_thread_ordinal());
   EXPECT_GE(events[0].tid, 1u);
+  EXPECT_LE(events[0].ts_us + events[0].arg, fr.now_us());
+}
+
+/// Spans in the flight ring (TELEMETRY_SPAN with a recorder installed).
+class SpanRingTest : public TelemetryTest {};
+
+TEST_F(SpanRingTest, RecordsStartTimeAndDuration) {
+  FlightRecorder fr(64);
+  set_flight_recorder(&fr);
+  const std::uint64_t before = fr.now_us();
+  {
+    TELEMETRY_SPAN("timed_scope");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::uint64_t after = fr.now_us();
+  const std::vector<FlightEvent> spans = spans_in(fr);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_GE(spans[0].ts_us, before);  // ts = the scope's start
+  EXPECT_GE(spans[0].arg, 2000u);     // arg = its duration in µs
+  EXPECT_LE(spans[0].ts_us + spans[0].arg, after);
+  EXPECT_FALSE(spans[0].ctx.active);  // no request in scope
+}
+
+TEST_F(SpanRingTest, KeepsNewestAndCountsDrops) {
+  // The ring overwrites its oldest events: a full recorder keeps the most
+  // recent spans and counts the overwritten ones.
+  FlightRecorder fr(64);
+  set_flight_recorder(&fr);
+  {
+    TELEMETRY_SPAN("oldest");
+  }
+  for (int i = 0; i < 69; ++i) {
+    TELEMETRY_SPAN("newer");
+  }
+  const std::vector<FlightEvent> events = fr.snapshot();
+  ASSERT_EQ(events.size(), 64u);
+  EXPECT_EQ(fr.recorded(), 70u);
+  EXPECT_EQ(fr.dropped(), 6u);
+  for (const FlightEvent& e : events) EXPECT_STREQ(e.detail, "newer");
+  EXPECT_EQ(events.back().seq, 69u);
+}
+
+TEST_F(SpanRingTest, ParallelSpansGetDistinctTids) {
+  // Each recording thread gets its own ordinal, so spans from parallel
+  // workers land in separate trace lanes.
+  FlightRecorder fr(256);
+  set_flight_recorder(&fr);
+  constexpr int kThreads = 4;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t)
+    workers.emplace_back([] { TELEMETRY_SPAN("worker_span"); });
+  for (std::thread& w : workers) w.join();
+  std::set<std::uint32_t> tids;
+  for (const FlightEvent& e : spans_in(fr)) tids.insert(e.tid);
+  EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(tids.count(current_thread_ordinal()), 0u);
 }
 
 TEST(ThreadOrdinal, StablePerThreadAndDistinctAcrossThreads) {
@@ -271,15 +316,18 @@ TEST(ThreadOrdinal, StablePerThreadAndDistinctAcrossThreads) {
 
 TEST_F(TelemetryTest, ThreadSafetyHammer) {
   // Exercised under -fsanitize=thread in CI: concurrent counter bumps,
-  // gauge stores, histogram observations, span records and snapshots.
+  // gauge stores, histogram observations, span records into a wrapping
+  // ring and snapshots of both.
   set_telemetry_enabled(true);
+  FlightRecorder fr(1024);
+  set_flight_recorder(&fr);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 500;
   std::atomic<int> ready{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &ready] {
+    workers.emplace_back([t, &ready, &fr] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) {
       }
@@ -290,7 +338,7 @@ TEST_F(TelemetryTest, ThreadSafetyHammer) {
         TELEMETRY_SPAN("hammer_span");
         if (i % 128 == 0) {
           (void)global_metrics().snapshot();
-          (void)global_tracer().snapshot();
+          (void)fr.snapshot();
         }
       }
       (void)t;
@@ -305,8 +353,10 @@ TEST_F(TelemetryTest, ThreadSafetyHammer) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->stat().count(),
             static_cast<std::size_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(global_tracer().size() + global_tracer().dropped(),
+  // Every span landed: the ring holds the newest, the rest are counted.
+  EXPECT_EQ(fr.recorded(),
             static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_EQ(fr.snapshot().size() + fr.dropped(), fr.recorded());
 }
 
 // ---------------------------------------------------------------- exporters
@@ -367,13 +417,15 @@ TEST_F(TelemetryTest, HistogramExportListsAllBucketBoundaries) {
 }
 
 TEST_F(TelemetryTest, EmptyTracerExportsMetadataOnlyTrace) {
-  SpanTracer t;
+  FlightRecorder fr(64);
   std::ostringstream os;
-  write_chrome_trace(t, os);
+  write_chrome_trace(fr, os);
   const JsonValue root = parse_json(os.str());
   ASSERT_EQ(root.at("traceEvents").array.size(), 1u);  // metadata only
   EXPECT_EQ(root.at("traceEvents").array[0].at("ph").string, "M");
-  EXPECT_DOUBLE_EQ(root.at("otherData").at("dropped_events").number, 0.0);
+  EXPECT_EQ(root.at("otherData").at("schema").string, "sysrle.trace.v2");
+  EXPECT_DOUBLE_EQ(root.at("otherData").at("recorded").number, 0.0);
+  EXPECT_DOUBLE_EQ(root.at("otherData").at("dropped").number, 0.0);
 }
 
 TEST_F(TelemetryTest, EmptyMetricsExportIsWellFormed) {
@@ -389,19 +441,19 @@ TEST_F(TelemetryTest, EmptyMetricsExportIsWellFormed) {
 
 TEST_F(TelemetryTest, ExportersRunConcurrentlyWithRecorders) {
   // Exercised under -fsanitize=thread in CI: snapshot-based exporters must
-  // be safe while recording threads are still hot.  A small tracer keeps
+  // be safe while recording threads are still hot.  A small ring keeps
   // each export (and its parse) cheap while the hammer runs.
   MetricsRegistry metrics;
-  SpanTracer tracer(512);
+  FlightRecorder recorder(512);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&stop, &metrics, &tracer] {
+    writers.emplace_back([&stop, &metrics, &recorder] {
       std::uint64_t i = 0;
       while (!stop.load()) {
         metrics.add("race.count");
         metrics.observe("race.hist", static_cast<double>(i % 32));
-        tracer.record_owned("race.span", "test", i, 1);
+        recorder.record_span("race.span", recorder.now_us());
         ++i;
       }
     });
@@ -409,7 +461,7 @@ TEST_F(TelemetryTest, ExportersRunConcurrentlyWithRecorders) {
   for (int round = 0; round < 20; ++round) {
     std::ostringstream metrics_os, trace_os;
     write_metrics_json(metrics.snapshot(), metrics_os);
-    write_chrome_trace(tracer, trace_os);
+    write_chrome_trace(recorder, trace_os);
     // Both exports parse mid-hammer.
     (void)parse_json(metrics_os.str());
     (void)parse_json(trace_os.str());
@@ -419,25 +471,35 @@ TEST_F(TelemetryTest, ExportersRunConcurrentlyWithRecorders) {
 }
 
 TEST_F(TelemetryTest, ChromeTraceExportIsWellFormed) {
-  SpanTracer t;
-  t.record("row_diff", "image", 50, 10);
-  t.record("image_diff", "image", 0, 100);
+  FlightRecorder fr(64);
+  // Record order is close order: children before their parents.
+  fr.record_at(50, FlightEventKind::kSpan, RequestContext{}, "row_diff", 10);
+  fr.record_at(0, FlightEventKind::kSpan, RequestContext{}, "rle.read", 5);
+  fr.record_at(0, FlightEventKind::kSpan, RequestContext{}, "image_diff", 100);
 
   std::ostringstream os;
-  write_chrome_trace(t, os);
+  write_chrome_trace(fr, os);
   const JsonValue root = parse_json(os.str());
 
   const JsonValue& events = root.at("traceEvents");
-  ASSERT_EQ(events.array.size(), 3u);  // metadata + 2 spans
+  ASSERT_EQ(events.array.size(), 4u);  // metadata + 3 spans
   EXPECT_EQ(events.array[0].at("ph").string, "M");
   EXPECT_EQ(events.array[0].at("name").string, "process_name");
-  // Complete events sorted by ts.
-  EXPECT_EQ(events.array[1].at("ph").string, "X");
+  // Complete events sorted by start time; at equal starts the enclosing
+  // (longer) span comes first.
   EXPECT_EQ(events.array[1].at("name").string, "image_diff");
-  EXPECT_EQ(events.array[2].at("name").string, "row_diff");
-  EXPECT_LE(events.array[1].at("ts").number, events.array[2].at("ts").number);
-  EXPECT_EQ(root.at("otherData").at("schema").string, "sysrle.trace.v1");
-  EXPECT_DOUBLE_EQ(root.at("otherData").at("dropped_events").number, 0.0);
+  EXPECT_EQ(events.array[2].at("name").string, "rle.read");
+  EXPECT_EQ(events.array[3].at("name").string, "row_diff");
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(events.array[i].at("ph").string, "X");
+    EXPECT_DOUBLE_EQ(events.array[i].at("tid").number,
+                     static_cast<double>(current_thread_ordinal()));
+  }
+  EXPECT_DOUBLE_EQ(events.array[1].at("dur").number, 100.0);
+  EXPECT_DOUBLE_EQ(events.array[3].at("ts").number, 50.0);
+  EXPECT_DOUBLE_EQ(events.array[3].at("dur").number, 10.0);
+  EXPECT_EQ(root.at("otherData").at("schema").string, "sysrle.trace.v2");
+  EXPECT_DOUBLE_EQ(root.at("otherData").at("dropped").number, 0.0);
 }
 
 // -------------------------------------------------------------- bench report
