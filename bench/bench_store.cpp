@@ -3,8 +3,8 @@
 //
 // The pre-store serving path pays full ingestion on every request: both
 // operands arrive as serialized RLE bytes and must be parsed (read_rle,
-// with per-row validation) and fingerprinted (the coalescer key hashes both
-// images) before the diff engine sees a single run.  The store amortizes
+// with per-row validation) and fingerprinted (the router's route and
+// in-flight keys hash both images) before the diff engine sees a single run.  The store amortizes
 // all of that to registration time — a hot reference image is parsed zero
 // times per request.  This bench pins that claim and the store/cache
 // accounting identities as named, machine-checkable booleans:
@@ -22,8 +22,8 @@
 //      all three paths must produce bit-identical diffs per pair.
 //   2. Result-cache hit ratio — a 1x1 ShardRouter with store + cache serves
 //      K distinct by-handle pairs, each submitted R times sequentially
-//      (response awaited between submissions, so the coalescer never sees
-//      two in flight).  The backend engine runs exactly K times; the other
+//      (response awaited between submissions, so no two are ever in flight
+//      together to coalesce).  The backend engine runs exactly K times; the other
 //      K*(R-1) responses come from the cache, bit-identical per pair, and
 //      lookups == hits + misses.
 //   3. Churn — a deliberately tiny store capacity forces eviction across a
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   // One reference, a small pool of scans, both sides pre-registered.  The
   // baseline replays the by-value ingestion path per request: deserialize
   // both operands from their SRLB bytes (read_rle validates every row),
-  // fingerprint both (the coalescer key does), then diff.  Diff payloads
+  // fingerprint both (the router's in-flight key does), then diff.  Diff payloads
   // are kept per pair and fingerprinted after the clocks stop, so the
   // verification cost never tilts any timed loop.
   Rng rng(kSeed);

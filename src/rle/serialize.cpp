@@ -44,6 +44,15 @@ std::int64_t get_i64(std::istream& in) {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
+/// Folds the eight little-endian bytes of `value` into FNV-1a state `h`.
+std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (value >> (i * 8)) & 0xffu;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
 /// Feeds the canonical SRLB byte sequence of `img` to `sink(data, size)`.
 /// Shared by canonical_rle_bytes and canonical_fingerprint so the string
 /// and the streamed hash can never disagree about the encoding.
@@ -255,6 +264,20 @@ std::uint64_t canonical_fingerprint(const RleImage& img) {
       h *= kFnvPrime;
     }
   });
+  return h;
+}
+
+std::uint64_t image_fingerprint(const RleImage& img) {
+  std::uint64_t h = kFnvOffset;
+  h = fnv1a_u64(h, static_cast<std::uint64_t>(img.width()));
+  h = fnv1a_u64(h, static_cast<std::uint64_t>(img.height()));
+  for (const RleRow& row : img.rows()) {
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(row.runs().size()));
+    for (const Run& r : row.runs()) {
+      h = fnv1a_u64(h, static_cast<std::uint64_t>(r.start));
+      h = fnv1a_u64(h, static_cast<std::uint64_t>(r.length));
+    }
+  }
   return h;
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "rle/serialize.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -33,6 +34,22 @@ double us_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return static_cast<double>(
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
+}
+
+/// Fault injection and engine overrides change behaviour per request, so a
+/// hooked request neither shares a computation nor touches the cache.
+bool hooked(const ServiceRequest& request) {
+  return request.fault || request.engine_override;
+}
+
+/// True when `x` and `y` diff the same operands.  By-handle operands share
+/// the store's parse, so the address test usually decides it in O(1).
+bool same_operands(const ServiceRequest& x, const ServiceRequest& y) {
+  const auto same = [](const RleImage& p, const RleImage& q) {
+    return &p == &q || p == q;
+  };
+  return same(x.ref_image(), y.ref_image()) &&
+         same(x.scan_image(), y.scan_image());
 }
 
 /// Pops the earliest entry of a min-heap on fire_at.
@@ -172,13 +189,9 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
           "ShardRouter: by-handle image dimensions differ");
       // Result cache: only by-handle requests are eligible — their key is
       // the verified store fingerprint pair, so a hit is answerable without
-      // re-hashing anything.  Hooked requests (fault injection, engine
-      // override) change behaviour per request and bypass the cache, and
-      // never share a computation through the coalescer either.
-      const bool hooked = request.fault || request.engine_override;
-      const bool cacheable =
-          config_.cache != nullptr && request.by_handle() && !hooked;
-      const bool coalescible = config_.coalesce && !hooked;
+      // re-hashing anything.
+      const bool cacheable = cacheable_request(request);
+      const bool coalescible = !hooked(request);
 
       // Each operand is fingerprinted at most once per submission; the
       // route key and the cache/coalescing key both derive from the pair.
@@ -225,73 +238,60 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
         }
       }
 
-      if (served_from_cache) {
-        // result stays nullopt: the response above is the one delivery.
-      } else {
-      // Coalescing: the equality check in admit() defeats fingerprint
-      // collisions.
-      bool registered = false;
-      if (coalescible) {
-        const Coalescer::AdmitResult admit = coalescer_.admit(
-            rkey, request.ref_image(), request.scan_image(), next_call_id_);
-        // A collision runs uncoalesced AND unregistered — it must never
-        // finish() a key another computation owns.
-        registered = admit.primary && !admit.collision;
-        if (!admit.primary) {
-          auto owner = calls_.find(admit.owner);
-          SYSRLE_REQUIRE(owner != calls_.end(),
-                         "ShardRouter: coalescer owner is not a live call");
-          flight_record(FlightEventKind::kAdmit, cctx, "coalesced");
-          flight_record(FlightEventKind::kCoalesceJoined, cctx, "",
-                        owner->second->request.id);
-          owner->second->waiters.push_back(
-              {std::move(request), std::chrono::steady_clock::now()});
-          ++stats_.coalesced;
-          ++stats_.admitted;
-          count_metric("router.coalesced");
-          return std::nullopt;
+      if (!served_from_cache) {
+        // Coalescing: a duplicate of an in-flight call joins it as a waiter.
+        // The operand check defeats fingerprint collisions, and a request
+        // that needs its diff joins only an owner that keeps one.  Either
+        // mismatch runs the request as its own call, left out of the index
+        // so the owner's entry stays put.
+        bool index = false;
+        if (coalescible) {
+          const auto owner = inflight_.find(rkey);
+          if (owner == inflight_.end()) {
+            index = true;
+          } else if (!same_operands(owner->second->request, request)) {
+            ++stats_.coalesce_collisions;
+          } else if (!request.keep_diff || owner->second->request.keep_diff) {
+            flight_record(FlightEventKind::kAdmit, cctx, "coalesced");
+            flight_record(FlightEventKind::kCoalesceJoined, cctx, "",
+                          owner->second->request.id);
+            owner->second->waiters.push_back(
+                {std::move(request), std::chrono::steady_clock::now()});
+            ++stats_.coalesced;
+            ++stats_.admitted;
+            count_metric("router.coalesced");
+            return std::nullopt;
+          }
         }
-      }
 
-      auto call = std::make_shared<Call>();
-      call->call_id = next_call_id_++;  // the id admit() registered above
-      call->request = std::move(request);
-      call->accepted = std::chrono::steady_clock::now();
-      call->key = key;
-      call->home_shard = home;
-      call->rkey = rkey;
-      call->coalesce_registered = registered;
-      call->cacheable = cacheable;
+        auto call = std::make_shared<Call>();
+        call->call_id = next_call_id_++;
+        call->request = std::move(request);
+        call->accepted = std::chrono::steady_clock::now();
+        call->key = key;
+        call->home_shard = home;
+        call->rkey = rkey;
+        call->cacheable = cacheable;
 
-      result = dispatch_locked(call, /*is_hedge=*/false,
-                               /*exclude_replica=*/SIZE_MAX, deliveries);
-      if (result) {
-        if (call->coalesce_registered) coalescer_.finish(call->rkey);
-        if (*result == RejectReason::kShardDown) {
-          ++stats_.shed_shard_down;
-          count_metric("router.shard_down_sheds");
+        result = dispatch_locked(call, /*is_hedge=*/false,
+                                 /*exclude_replica=*/SIZE_MAX);
+        if (result) {
+          if (*result == RejectReason::kShardDown) {
+            ++stats_.shed_shard_down;
+            count_metric("router.shard_down_sheds");
+          } else {
+            ++stats_.shed_shutdown;
+          }
+          flight_record(FlightEventKind::kShed, cctx, to_string(*result));
+          flight_retain(cctx.request_id, "shed");
         } else {
-          ++stats_.shed_shutdown;
-        }
-        flight_record(FlightEventKind::kShed, cctx, to_string(*result));
-        flight_retain(cctx.request_id, "shed");
-      } else {
-        ++stats_.admitted;
-        flight_record(FlightEventKind::kAdmit, cctx, "primary");
-        calls_.emplace(call->call_id, call);
-        if (config_.hedge.enabled &&
-            call->request.priority == Priority::kInteractive) {
-          call->hedge_scheduled = true;
-          hedge_heap_.push_back(
-              {call->accepted + std::chrono::microseconds(
-                                    current_hedge_delay_us()),
-               call->call_id});
-          std::push_heap(hedge_heap_.begin(), hedge_heap_.end(),
-                         HedgeEarlier{});
-          hedge_cv_.notify_one();
+          ++stats_.admitted;
+          flight_record(FlightEventKind::kAdmit, cctx, "primary");
+          calls_.emplace(call->call_id, call);
+          if (index) inflight_.emplace(rkey, call);
+          schedule_hedge_locked(*call, call->accepted);
         }
       }
-      }  // !served_from_cache
     }
   }
   deliver(deliveries);
@@ -300,8 +300,7 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
 
 std::optional<RejectReason> ShardRouter::dispatch_locked(
     const std::shared_ptr<Call>& call, bool is_hedge,
-    std::size_t exclude_replica, std::vector<Delivery>& out) {
-  (void)out;
+    std::size_t exclude_replica) {
   const bool interactive = call->request.priority == Priority::kInteractive;
   bool crossed_shard = false;
 
@@ -540,46 +539,57 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
                 static_cast<std::uint64_t>(client.total_us));
   out.push_back({client});
 
-  // Waiters.  A completed or failed outcome propagates typed to every
-  // waiter (bit-identical response copy for completions).  A rejected
+  // Waiters.  One whose own (shorter) deadline lapsed while the primary
+  // ran is shed typed.  A completed or failed outcome propagates typed to
+  // every other waiter (a bit-identical copy for completions).  A rejected
   // outcome (the primary's deadline expired or it was shed mid-flight)
-  // promotes the first waiter whose own deadline still holds into a fresh
-  // primary — the computation is still wanted, just not by the original
-  // requester.
+  // promotes a live waiter into a fresh primary — the computation is still
+  // wanted, just not by the original requester.
   std::vector<Waiter> waiters = std::move(call->waiters);
   call->waiters.clear();
-  const bool propagate =
-      winner.status != ServiceResponse::Status::kRejected;
   const auto now = std::chrono::steady_clock::now();
+  const auto reject_waiter = [&](const ServiceRequest& request,
+                                 std::chrono::steady_clock::time_point arrived,
+                                 RejectReason reason) {
+    ServiceResponse wr;
+    wr.status = ServiceResponse::Status::kRejected;
+    wr.reject_reason = reason;
+    wr.id = request.id;
+    wr.priority = request.priority;
+    wr.total_us = us_between(arrived, now);
+    ++stats_.rejected;
+    if (reason == RejectReason::kDeadlineExpired) {
+      ++stats_.waiter_deadline_sheds;
+      flight_record(FlightEventKind::kDeadlineExpired, client_ctx(wr.id),
+                    "waiter");
+      flight_retain(wr.id, "deadline_expired");
+    } else if (reason == RejectReason::kShardDown) {
+      count_metric("router.shard_down_sheds");
+    }
+    flight_record(FlightEventKind::kRespond, client_ctx(wr.id),
+                  to_string(wr.status),
+                  static_cast<std::uint64_t>(wr.total_us));
+    out.push_back({std::move(wr)});
+  };
 
-  std::size_t w = 0;
-  if (propagate) {
-    for (; w < waiters.size(); ++w) {
-      Waiter& waiter = waiters[w];
-      ServiceResponse wr;
-      if (waiter.request.deadline.expired()) {
-        // The waiter's own (shorter) deadline lapsed while the primary ran.
-        wr.status = ServiceResponse::Status::kRejected;
-        wr.reject_reason = RejectReason::kDeadlineExpired;
-        ++stats_.waiter_deadline_sheds;
-        ++stats_.rejected;
-        flight_record(FlightEventKind::kDeadlineExpired,
-                      client_ctx(waiter.request.id), "waiter");
-        flight_retain(waiter.request.id, "deadline_expired");
-      } else {
-        wr = winner;  // same diff bytes as the primary's response
-        switch (wr.status) {
-          case ServiceResponse::Status::kCompleted:
-            ++stats_.completed;
-            break;
-          case ServiceResponse::Status::kFailed:
-            ++stats_.failed;
-            break;
-          case ServiceResponse::Status::kRejected:
-            ++stats_.rejected;
-            break;
-        }
-      }
+  std::vector<Waiter> live;
+  for (Waiter& waiter : waiters) {
+    if (waiter.request.deadline.expired())
+      reject_waiter(waiter.request, waiter.arrived,
+                    RejectReason::kDeadlineExpired);
+    else
+      live.push_back(std::move(waiter));
+  }
+
+  std::shared_ptr<Call> promoted;
+  if (winner.status != ServiceResponse::Status::kRejected) {
+    for (const Waiter& waiter : live) {
+      ServiceResponse wr = winner;  // same diff bytes as the primary's
+      if (!waiter.request.keep_diff) wr.diff = RleImage(0, 0);
+      if (wr.status == ServiceResponse::Status::kCompleted)
+        ++stats_.completed;
+      else
+        ++stats_.failed;
       wr.id = waiter.request.id;
       wr.priority = waiter.request.priority;
       wr.queue_us = 0.0;
@@ -589,86 +599,71 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
                     static_cast<std::uint64_t>(wr.total_us));
       out.push_back({std::move(wr)});
     }
-    if (call->coalesce_registered) coalescer_.finish(call->rkey);
   } else {
-    bool promoted = false;
-    for (; w < waiters.size(); ++w) {
-      Waiter& waiter = waiters[w];
-      if (waiter.request.deadline.expired()) {
-        ServiceResponse wr;
-        wr.status = ServiceResponse::Status::kRejected;
-        wr.reject_reason = RejectReason::kDeadlineExpired;
-        wr.id = waiter.request.id;
-        wr.priority = waiter.request.priority;
-        wr.total_us = us_between(waiter.arrived, now);
-        ++stats_.waiter_deadline_sheds;
-        ++stats_.rejected;
-        flight_record(FlightEventKind::kDeadlineExpired,
-                      client_ctx(wr.id), "waiter");
-        flight_retain(wr.id, "deadline_expired");
-        flight_record(FlightEventKind::kRespond, client_ctx(wr.id),
-                      to_string(wr.status),
-                      static_cast<std::uint64_t>(wr.total_us));
-        out.push_back({std::move(wr)});
-        continue;
-      }
-      // Promote: this waiter becomes the new primary of the same key.
+    while (!live.empty()) {
+      // Promote a waiter that keeps its diff when any does, so every waiter
+      // carried over still satisfies the join rule against the new owner.
+      auto pick = std::find_if(live.begin(), live.end(), [](const Waiter& w) {
+        return w.request.keep_diff;
+      });
+      if (pick == live.end()) pick = live.begin();
       auto next = std::make_shared<Call>();
       next->call_id = next_call_id_++;
-      next->request = std::move(waiter.request);
-      next->accepted = waiter.arrived;
+      next->request = std::move(pick->request);
+      next->accepted = pick->arrived;
+      live.erase(pick);
       next->key = call->key;
       next->home_shard = call->home_shard;
       next->rkey = call->rkey;
-      next->coalesce_registered = call->coalesce_registered;
-      const std::optional<RejectReason> reason =
-          dispatch_locked(next, /*is_hedge=*/false, SIZE_MAX, out);
-      if (reason) {
+      next->cacheable = cacheable_request(next->request);
+      if (const std::optional<RejectReason> reason =
+              dispatch_locked(next, /*is_hedge=*/false, SIZE_MAX)) {
         // Nowhere to run it: the waiter was admitted, so it gets a typed
         // response (shard_down / shutdown), never silence.
-        ServiceResponse wr;
-        wr.status = ServiceResponse::Status::kRejected;
-        wr.reject_reason = *reason;
-        wr.id = next->request.id;
-        wr.priority = next->request.priority;
-        wr.total_us = us_between(waiter.arrived, now);
-        ++stats_.rejected;
-        if (*reason == RejectReason::kShardDown)
-          count_metric("router.shard_down_sheds");
-        flight_record(FlightEventKind::kRespond, client_ctx(wr.id),
-                      to_string(wr.status),
-                      static_cast<std::uint64_t>(wr.total_us));
-        out.push_back({std::move(wr)});
+        reject_waiter(next->request, next->accepted, *reason);
         continue;
       }
-      next->waiters.assign(std::make_move_iterator(waiters.begin() + w + 1),
-                           std::make_move_iterator(waiters.end()));
-      if (next->coalesce_registered)
-        coalescer_.reassign(next->rkey, next->call_id);
+      next->waiters = std::move(live);
       calls_.emplace(next->call_id, next);
       ++stats_.coalesce_promotions;
       count_metric("router.coalesce_promotions");
       flight_record(FlightEventKind::kCoalescePromoted,
                     client_ctx(next->request.id), "", call->request.id);
-      if (config_.hedge.enabled &&
-          next->request.priority == Priority::kInteractive) {
-        next->hedge_scheduled = true;
-        hedge_heap_.push_back(
-            {std::chrono::steady_clock::now() +
-                 std::chrono::microseconds(current_hedge_delay_us()),
-             next->call_id});
-        std::push_heap(hedge_heap_.begin(), hedge_heap_.end(),
-                       HedgeEarlier{});
-        hedge_cv_.notify_one();
-      }
-      promoted = true;
+      schedule_hedge_locked(*next, std::chrono::steady_clock::now());
+      promoted = std::move(next);
       break;
     }
-    if (!promoted && call->coalesce_registered)
-      coalescer_.finish(call->rkey);
+  }
+
+  // The index follows the computation: a promoted waiter inherits this
+  // call's entry, otherwise the key is free again.  A call that ran
+  // unindexed (a collision, or a keep_diff mismatch) leaves the owner's
+  // entry alone.
+  const auto slot = inflight_.find(call->rkey);
+  if (slot != inflight_.end() && slot->second == call) {
+    if (promoted)
+      slot->second = promoted;
+    else
+      inflight_.erase(slot);
   }
 
   if (call->pending_dispatches == 0) calls_.erase(call->call_id);
+}
+
+bool ShardRouter::cacheable_request(const ServiceRequest& request) const {
+  return config_.cache != nullptr && request.by_handle() && !hooked(request);
+}
+
+void ShardRouter::schedule_hedge_locked(
+    const Call& call, std::chrono::steady_clock::time_point from) {
+  if (!config_.hedge.enabled ||
+      call.request.priority != Priority::kInteractive)
+    return;
+  hedge_heap_.push_back(
+      {from + std::chrono::microseconds(current_hedge_delay_us()),
+       call.call_id});
+  std::push_heap(hedge_heap_.begin(), hedge_heap_.end(), HedgeEarlier{});
+  hedge_cv_.notify_one();
 }
 
 std::uint64_t ShardRouter::current_hedge_delay_us() const {
@@ -682,9 +677,7 @@ std::uint64_t ShardRouter::current_hedge_delay_us() const {
                     h.max_delay_us);
 }
 
-void ShardRouter::fire_hedge_locked(const std::shared_ptr<Call>& call,
-                                    std::vector<Delivery>& out) {
-  (void)out;
+void ShardRouter::fire_hedge_locked(const std::shared_ptr<Call>& call) {
   call->hedge_fired = true;
   if (!hedge_budget_.try_spend()) {
     ++stats_.hedges_suppressed;
@@ -749,13 +742,7 @@ void ShardRouter::hedge_loop() {
     if (it == calls_.end()) continue;
     const std::shared_ptr<Call> call = it->second;
     if (call->finished || call->hedge_fired) continue;
-    std::vector<Delivery> deliveries;
-    fire_hedge_locked(call, deliveries);
-    if (!deliveries.empty()) {
-      lk.unlock();
-      deliver(deliveries);
-      lk.lock();
-    }
+    fire_hedge_locked(call);
   }
 }
 
@@ -767,10 +754,8 @@ void ShardRouter::deliver(std::vector<Delivery>& deliveries) {
 void ShardRouter::drain() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (draining_) {
-      // Idempotent: a second drain() (e.g. the destructor after an explicit
-      // drain) must not re-join the hedge thread.
-    }
+    // Idempotent: a second drain() (e.g. the destructor after an explicit
+    // drain) finds the hedge thread no longer joinable.
     draining_ = true;
     hedge_cv_.notify_all();
   }
@@ -783,9 +768,7 @@ void ShardRouter::drain() {
 
 RouterStats ShardRouter::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  RouterStats s = stats_;
-  s.coalesce_collisions = coalescer_.collisions();
-  return s;
+  return stats_;
 }
 
 ServiceStats ShardRouter::backend_stats() const {

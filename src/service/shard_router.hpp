@@ -26,7 +26,10 @@
 //                the primary's response, a typed copy of its failure, or —
 //                when the primary's own deadline expired but a waiter's
 //                still holds — promotion: the waiter re-dispatches as the
-//                new primary (Coalescer);
+//                new primary.  The index is the router's own in-flight
+//                calls keyed by ResultKey (inflight_): a join verifies the
+//                operands against the owner's request, and a request that
+//                needs its diff joins only an owner that keeps one;
 //   degraded     when every replica of a shard is quarantined, batch
 //                traffic sheds with typed kShardDown and interactive
 //                traffic fails over cross-shard to the next shard on the
@@ -54,7 +57,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "service/coalescer.hpp"
 #include "service/replica_set.hpp"
 #include "service/retry_budget.hpp"
 #include "service/service.hpp"
@@ -100,7 +102,6 @@ struct RouterConfig {
                                 .open_duration = 50000,
                                 .probe_successes_to_close = 1};
   HedgePolicy hedge;
-  bool coalesce = true;
 
   /// Persistent image store for by-handle requests (ServiceRequest::
   /// ref_handle/scan_handle).  Null: by-handle requests shed with
@@ -227,10 +228,9 @@ class ShardRouter {
     std::uint64_t key = 0;
     std::size_t home_shard = 0;
 
-    /// The computation's identity: the coalescer's in-flight key (when
-    /// coalesce_registered) and the cache key (when cacheable).
+    /// The computation's identity: the in-flight index key (when this
+    /// call owns inflight_[rkey]) and the cache key (when cacheable).
     ResultKey rkey;
-    bool coalesce_registered = false;
     std::vector<Waiter> waiters;
 
     /// Cache-eligible by-handle call: its completion is inserted under rkey.
@@ -247,7 +247,6 @@ class ShardRouter {
     int pending_dispatches = 0;
     bool finished = false;
     bool hedge_fired = false;
-    bool hedge_scheduled = false;
     /// Best failure response seen so far while another dispatch is still
     /// pending (delivered only if nothing succeeds).
     std::optional<ServiceResponse> provisional;
@@ -286,9 +285,9 @@ class ShardRouter {
   /// Dispatches `call`'s request to shard `shard` (failing over across its
   /// replicas, then — for interactive — across shards).  Returns the shed
   /// reason when no backend admitted it.  Lock held.
-  std::optional<RejectReason> dispatch_locked(
-      const std::shared_ptr<Call>& call, bool is_hedge,
-      std::size_t exclude_replica, std::vector<Delivery>& out);
+  std::optional<RejectReason> dispatch_locked(const std::shared_ptr<Call>& call,
+                                             bool is_hedge,
+                                             std::size_t exclude_replica);
 
   /// One replica-level submission attempt.  True = admitted.
   bool submit_to_replica_locked(const std::shared_ptr<Call>& call,
@@ -311,9 +310,16 @@ class ShardRouter {
   ServiceResponse client_response_locked(const Call& call,
                                          const ServiceResponse& winner) const;
 
+  /// Cache-eligible: a cache is configured and the request is by-handle
+  /// and unhooked.
+  bool cacheable_request(const ServiceRequest& request) const;
+
+  /// Queues `call`'s hedge, due one hedge delay after `from` (interactive
+  /// calls with hedging enabled only).  Lock held.
+  void schedule_hedge_locked(const Call& call,
+                             std::chrono::steady_clock::time_point from);
   void hedge_loop();
-  void fire_hedge_locked(const std::shared_ptr<Call>& call,
-                         std::vector<Delivery>& out);
+  void fire_hedge_locked(const std::shared_ptr<Call>& call);
   void deliver(std::vector<Delivery>& deliveries);
 
   void count_metric(const char* name) const;
@@ -326,7 +332,10 @@ class ShardRouter {
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;  ///< sorted
 
   mutable std::mutex mu_;
-  Coalescer coalescer_;
+  /// Single-flight index: the call computing each coalescible ResultKey.
+  /// Holds no operand copies — joins verify against the owner's request.
+  std::unordered_map<ResultKey, std::shared_ptr<Call>, ResultKeyHash>
+      inflight_;
   RetryBudget hedge_budget_;
   RunningStat interactive_latency_us_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Call>> calls_;

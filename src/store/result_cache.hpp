@@ -5,17 +5,19 @@
 // diffing them is itself content-addressed: the key
 // (fingerprint-a, fingerprint-b, engine, canonicalization) names exactly
 // one output image, because every engine is bit-identical for a given
-// input pair and option set.  The cache closes the loop the Coalescer
-// opened: coalescing dedups *concurrent* identical diffs, the cache dedups
-// *sequential* ones — the second identical by-handle request is answered
-// from memory without invoking an engine at all.
+// input pair and option set.  The cache closes the loop the router's
+// in-flight coalescing opened: coalescing dedups *concurrent* identical
+// diffs, the cache dedups *sequential* ones — the second identical
+// by-handle request is answered from memory without invoking an engine at
+// all.
 //
-// Collision defense (the Coalescer idiom): every hit is verified against
-// the stored operands before it is served.  Entries keep shared_ptr
-// references to the store's parsed images (via PinnedImage::share(), which
-// keeps them alive past eviction without pinning them), so verification is
-// usually a pointer-equality check and at worst a full image compare; a
-// 64-bit key collision degrades to a miss, never to a wrong answer.
+// Collision defense (shared with the router's in-flight index): every hit
+// is verified against the stored operands before it is served.  Entries
+// keep shared_ptr references to the store's parsed images (via
+// PinnedImage::share(), which keeps them alive past eviction without
+// pinning them), so verification is usually a pointer-equality check and at
+// worst a full image compare; a 64-bit key collision degrades to a miss,
+// never to a wrong answer.
 //
 // Byte-budgeted LRU: entries are charged their diff's run storage plus the
 // operand-reference overhead, and insertion evicts from the LRU tail.  The
@@ -44,7 +46,7 @@ namespace sysrle {
 /// Identity of one diff computation: same key + equal images = same output
 /// (the engines are bit-identical across thread counts, so `threads` is
 /// deliberately not part of the key).  Keys both this cache and the
-/// service layer's in-flight coalescer.
+/// ShardRouter's in-flight index.
 struct ResultKey {
   std::uint64_t fp_a = 0;
   std::uint64_t fp_b = 0;

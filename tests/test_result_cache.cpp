@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "rle/serialize.hpp"
 #include "workload/generator.hpp"
 #include "workload/rng.hpp"
 
@@ -33,6 +34,30 @@ ResultKey key_of(std::uint64_t a, std::uint64_t b) {
   k.fp_a = a;
   k.fp_b = b;
   return k;
+}
+
+// The key names one computation: the same pair under another engine or
+// canonicalization setting, or the pair reversed, is different work.
+TEST(ResultCache, KeyDistinguishesEngineAndCanonicalization) {
+  const RleImage a = make_image(3);
+  const RleImage b = make_image(4);
+  const auto key = [](const RleImage& x, const RleImage& y,
+                      const ImageDiffOptions& options) {
+    return result_key(image_fingerprint(x), image_fingerprint(y), options);
+  };
+  ImageDiffOptions base;
+  ImageDiffOptions other_engine = base;
+  other_engine.engine = base.engine == DiffEngine::kSystolic
+                            ? DiffEngine::kSequentialMerge
+                            : DiffEngine::kSystolic;
+  ImageDiffOptions no_canon = base;
+  no_canon.canonicalize_output = !base.canonicalize_output;
+
+  const ResultKey k = key(a, b, base);
+  EXPECT_EQ(k, key(a, b, base));
+  EXPECT_FALSE(k == key(a, b, other_engine));
+  EXPECT_FALSE(k == key(a, b, no_canon));
+  EXPECT_FALSE(k == key(b, a, base));  // order matters
 }
 
 TEST(ResultCache, MissThenHit) {

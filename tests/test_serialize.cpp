@@ -294,5 +294,21 @@ TEST(Serialize, DifferentPixelsDifferentBytes) {
   EXPECT_NE(canonical_fingerprint(a), canonical_fingerprint(b));
 }
 
+// image_fingerprint keys by-value routing and coalescing: stable, content
+// sensitive, and pinned to its historical values so route keys never move.
+TEST(Serialize, ImageFingerprintIsStableAndContentSensitive) {
+  const RleImage a = sample_image();
+  EXPECT_EQ(image_fingerprint(a), image_fingerprint(sample_image()));
+  EXPECT_EQ(image_fingerprint(a), 0x12a702dd2b60d82dull);
+  EXPECT_EQ(image_fingerprint(RleImage(4, 4)), 0xf7270d1697855e65ull);
+
+  RleImage b = a;
+  b.set_row(0, RleRow({{0, 1}}));
+  EXPECT_NE(image_fingerprint(a), image_fingerprint(b));
+  // Dimensions matter even with zero runs.
+  EXPECT_NE(image_fingerprint(RleImage(4, 4)),
+            image_fingerprint(RleImage(4, 5)));
+}
+
 }  // namespace
 }  // namespace sysrle

@@ -156,7 +156,8 @@ TEST(ShardRouter, RouteKeyOverrideAndContentKeysAreStable) {
   ServiceRequest req = make_request(w, 1);
   const std::uint64_t content_key = ShardRouter::route_key_of(req);
   EXPECT_EQ(content_key, ShardRouter::route_key_of(req));
-  EXPECT_NE(content_key, 0u);
+  // Pinned: a content route key that moves reshuffles every shard.
+  EXPECT_EQ(content_key, 0xa129a3c78ca7e35dull);
 
   req.route_key = 77;
   EXPECT_EQ(ShardRouter::route_key_of(req), 77u);
@@ -315,6 +316,176 @@ TEST(ShardRouter, ExpiredPrimaryPromotesLiveWaiterToNewPrimary) {
   expect_correct_diff(promoted, w);
 }
 
+// Coalescer.*: the router's single-flight index. One in-flight call per
+// result key; a duplicate that arrives while it runs joins it, the key is
+// released when the call finishes, and a promoted waiter inherits it.
+
+TEST(Coalescer, SecondAdmitOfSameWorkAttachesAsWaiter) {
+  Collector collector;
+  ShardRouter router(small_router(1, 1), collector.callback());
+  const Workload plug_w = make_workload(17);
+  const Workload w = make_workload(18);
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  ASSERT_FALSE(router.try_submit(make_request(w, 100)).has_value());
+  ASSERT_FALSE(router.try_submit(make_request(w, 101)).has_value());
+  EXPECT_EQ(router.stats().coalesced, 1u);
+  release.store(true);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesced, 1u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(router.backend_stats().engine_invocations, 2u)
+      << "plug and the one shared computation";
+  const ServiceResponse owner = collector.only(100);
+  expect_correct_diff(owner, w);
+  EXPECT_EQ(collector.only(101).diff, owner.diff);
+}
+
+TEST(Coalescer, FinishMakesTheKeyAdmittableAgain) {
+  // No result cache: once the first copy has answered, its key leaves the
+  // in-flight index and a sequential duplicate runs the engine again.
+  Collector collector;
+  ShardRouter router(small_router(1, 1), collector.callback());
+  const Workload w = make_workload(24);
+
+  ASSERT_FALSE(router.try_submit(make_request(w, 100)).has_value());
+  collector.wait_for(1);
+  ASSERT_FALSE(router.try_submit(make_request(w, 101)).has_value());
+  collector.wait_for(2);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesced, 0u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(router.backend_stats().engine_invocations, 2u)
+      << "the first copy and the sequential repeat";
+  expect_correct_diff(collector.only(100), w);
+  expect_correct_diff(collector.only(101), w);
+}
+
+TEST(Coalescer, ReassignHandsOwnershipToThePromotedWaiter) {
+  Collector collector;
+  ShardRouter router(small_router(1, 1), collector.callback());
+  const Workload plug_w = make_workload(14);
+  const Workload second_plug_w = make_workload(16);
+  const Workload w = make_workload(15);
+
+  std::atomic<bool> release{false};
+  std::atomic<bool> release_second{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  ServiceRequest doomed = make_request(w, 100);
+  doomed.deadline = Deadline::after(std::chrono::milliseconds(1));
+  ASSERT_FALSE(router.try_submit(std::move(doomed)).has_value());
+  ASSERT_FALSE(router.try_submit(make_request(w, 101)).has_value());
+  // A second plug queued behind the doomed primary holds the promoted
+  // re-dispatch in the queue, so a later duplicate finds it in flight.
+  ASSERT_FALSE(router.try_submit(make_plug(second_plug_w, 2, release_second))
+                   .has_value());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release.store(true);
+  // The first plug and the doomed primary have answered, so the promotion
+  // has happened: a duplicate arriving now joins the promoted call.
+  collector.wait_for(2);
+  ASSERT_FALSE(router.try_submit(make_request(w, 102)).has_value());
+  release_second.store(true);
+  // The promotion re-dispatch must land in a live backend, not a draining
+  // one: wait for every outcome before tearing down.
+  collector.wait_for(5);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesced, 2u);
+  EXPECT_EQ(st.coalesce_promotions, 1u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(router.backend_stats().engine_invocations, 3u)
+      << "two plugs and the one promoted computation";
+
+  const ServiceResponse promoted = collector.only(101);
+  EXPECT_EQ(promoted.status, ServiceResponse::Status::kCompleted);
+  expect_correct_diff(promoted, w);
+  const ServiceResponse late = collector.only(102);
+  EXPECT_EQ(late.status, ServiceResponse::Status::kCompleted);
+  EXPECT_EQ(late.diff, promoted.diff);
+}
+
+TEST(ShardRouter, WaiterThatKeepsItsDiffNeverJoinsAnOwnerThatDropsIt) {
+  Collector collector;
+  ShardRouter router(small_router(1, 1), collector.callback());
+  const Workload plug_w = make_workload(19);
+  const Workload w = make_workload(20);
+  const Workload kept = make_workload(21);
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  const auto submit = [&](const Workload& work, std::uint64_t id,
+                          bool keep_diff) {
+    ServiceRequest req = make_request(work, id);
+    req.keep_diff = keep_diff;
+    ASSERT_FALSE(router.try_submit(std::move(req)).has_value());
+  };
+  // Owner 100 drops its diff: 101 needs one and runs on its own, while
+  // 102 needs none and joins.
+  submit(w, 100, false);
+  submit(w, 101, true);
+  submit(w, 102, false);
+  // Owner 200 keeps its diff: 201 joins and gets no diff, as it asked.
+  submit(kept, 200, true);
+  submit(kept, 201, false);
+  release.store(true);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesced, 2u);
+  EXPECT_EQ(st.coalesce_collisions, 0u);
+  EXPECT_TRUE(st.accounted());
+
+  const ServiceResponse needs_diff = collector.only(101);
+  ASSERT_EQ(needs_diff.status, ServiceResponse::Status::kCompleted);
+  expect_correct_diff(needs_diff, w);
+  EXPECT_EQ(collector.only(102).status, ServiceResponse::Status::kCompleted);
+  EXPECT_EQ(collector.only(102).diff.height(), 0);
+  expect_correct_diff(collector.only(200), kept);
+  EXPECT_EQ(collector.only(201).status, ServiceResponse::Status::kCompleted);
+  EXPECT_EQ(collector.only(201).diff.height(), 0);
+}
+
+TEST(ShardRouter, PromotionPrefersAWaiterThatKeepsItsDiff) {
+  // The expired owner kept its diff, so waiters of both kinds joined it.
+  // The promoted owner must keep its diff too, or the waiter that needs one
+  // would inherit an empty "completed" diff.
+  Collector collector;
+  ShardRouter router(small_router(1, 1), collector.callback());
+  const Workload plug_w = make_workload(22);
+  const Workload w = make_workload(23);
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  ServiceRequest doomed = make_request(w, 100);
+  doomed.deadline = Deadline::after(std::chrono::milliseconds(1));
+  ASSERT_FALSE(router.try_submit(std::move(doomed)).has_value());
+  ServiceRequest drops_diff = make_request(w, 101);
+  drops_diff.keep_diff = false;
+  ASSERT_FALSE(router.try_submit(std::move(drops_diff)).has_value());
+  ASSERT_FALSE(router.try_submit(make_request(w, 102)).has_value());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release.store(true);
+  collector.wait_for(4);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesced, 2u);
+  EXPECT_EQ(st.coalesce_promotions, 1u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(collector.only(101).status, ServiceResponse::Status::kCompleted);
+  EXPECT_EQ(collector.only(101).diff.height(), 0);
+  const ServiceResponse needs_diff = collector.only(102);
+  ASSERT_EQ(needs_diff.status, ServiceResponse::Status::kCompleted);
+  expect_correct_diff(needs_diff, w);
+}
+
 TEST(ShardRouter, FailsOverAcrossReplicasWhenOneIsKilled) {
   Collector collector;
   RouterConfig cfg = small_router(1, 2);
@@ -402,7 +573,6 @@ TEST(ShardRouter, HedgeFiresToASecondReplicaAndOneResponseWins) {
   Collector collector;
   RouterConfig cfg = small_router(1, 2, /*hedge_enabled=*/true);
   cfg.hedge.fixed_delay_us = 2000;
-  cfg.coalesce = false;
   ShardRouter router(cfg, collector.callback());
 
   const Workload w = make_workload(21, /*rows=*/4, /*width=*/128);
@@ -435,7 +605,6 @@ TEST(ShardRouter, HedgeSuppressedWhenBudgetIsExhausted) {
   cfg.hedge.fixed_delay_us = 1000;
   cfg.hedge.budget.initial_tokens = 0.0;
   cfg.hedge.budget.tokens_per_success = 0.0;
-  cfg.coalesce = false;
   ShardRouter router(cfg, collector.callback());
 
   const Workload w = make_workload(22, /*rows=*/2, /*width=*/128);
@@ -468,7 +637,6 @@ TEST(ShardRouter, HedgeWinLeavesARetainedFlightTimeline) {
   Collector collector;
   RouterConfig cfg = small_router(1, 2, /*hedge_enabled=*/true);
   cfg.hedge.fixed_delay_us = 2000;
-  cfg.coalesce = false;
   {
     ShardRouter router(cfg, collector.callback());
     const Workload w = make_workload(23, /*rows=*/4, /*width=*/128);
@@ -713,6 +881,98 @@ TEST(ShardRouter, ByHandleDiffSurvivesConcurrentStoreChurn) {
   ASSERT_EQ(r.status, ServiceResponse::Status::kCompleted);
   expect_correct_diff(r, w);
   EXPECT_TRUE(store->stats().accounted());
+}
+
+// A waiter promoted after its by-handle primary expired completes the
+// computation; that completion feeds the result cache like any other.
+TEST(ShardRouter, PromotedWaiterCompletionIsCached) {
+  std::shared_ptr<ImageStore> store;
+  std::shared_ptr<ResultCache> cache;
+  Collector collector;
+  const Workload plug_w = make_workload(604);
+  const Workload w = make_workload(605);
+  RouterConfig cfg = store_router(store, cache);
+  cfg.shards = 1;
+  ShardRouter router(cfg, collector.callback());
+  const ImageHandle ha = store->register_image(w.a).handle;
+  const ImageHandle hb = store->register_image(w.b).handle;
+  auto by_handle = [&](std::uint64_t id) {
+    ServiceRequest req;
+    req.id = id;
+    req.ref_handle = ha;
+    req.scan_handle = hb;
+    return req;
+  };
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  ServiceRequest doomed = by_handle(100);
+  doomed.deadline = Deadline::after(std::chrono::milliseconds(1));
+  ASSERT_FALSE(router.try_submit(std::move(doomed)).has_value());
+  ASSERT_FALSE(router.try_submit(by_handle(101)).has_value());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release.store(true);
+  collector.wait_for(3);
+  ASSERT_EQ(router.stats().coalesce_promotions, 1u);
+  ASSERT_EQ(collector.only(101).status, ServiceResponse::Status::kCompleted);
+  const std::uint64_t engine_runs = router.backend_stats().engine_invocations;
+
+  ASSERT_FALSE(router.try_submit(by_handle(102)).has_value());
+  collector.wait_for(4);
+  router.drain();
+
+  const ServiceResponse repeat = collector.only(102);
+  ASSERT_EQ(repeat.status, ServiceResponse::Status::kCompleted);
+  EXPECT_TRUE(repeat.from_cache);
+  expect_correct_diff(repeat, w);
+  EXPECT_EQ(router.backend_stats().engine_invocations, engine_runs);
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.cache_stores, 1u);
+  EXPECT_EQ(st.cache_hits, 1u);
+  EXPECT_TRUE(st.accounted());
+}
+
+// A by-handle pair whose store handles collide with the fingerprints of an
+// in-flight by-value pair has the same ResultKey but other operands: it runs
+// as its own call, and the owner keeps its index entry.
+TEST(ShardRouter, FingerprintCollisionWithInFlightPairRunsUncoalesced) {
+  Collector collector;
+  const Workload plug_w = make_workload(606);
+  const Workload owner_w = make_workload(607);
+  const Workload collider = make_workload(608);
+  StoreConfig colliding;
+  colliding.fingerprint_override = [&](const RleImage& img) {
+    if (img == collider.a) return image_fingerprint(owner_w.a);
+    if (img == collider.b) return image_fingerprint(owner_w.b);
+    return canonical_fingerprint(img);
+  };
+  auto store = std::make_shared<ImageStore>(colliding);
+  RouterConfig cfg = small_router(1, 1);
+  cfg.store = store;
+  ShardRouter router(cfg, collector.callback());
+  ServiceRequest by_handle;
+  by_handle.id = 101;
+  by_handle.ref_handle = store->register_image(collider.a).handle;
+  by_handle.scan_handle = store->register_image(collider.b).handle;
+  ASSERT_EQ(by_handle.ref_handle, image_fingerprint(owner_w.a));
+  ASSERT_EQ(by_handle.scan_handle, image_fingerprint(owner_w.b));
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  ASSERT_FALSE(router.try_submit(make_request(owner_w, 100)).has_value());
+  ASSERT_FALSE(router.try_submit(std::move(by_handle)).has_value());
+  // The owner's entry survived the collision: a true duplicate still joins.
+  ASSERT_FALSE(router.try_submit(make_request(owner_w, 102)).has_value());
+  release.store(true);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesce_collisions, 1u);
+  EXPECT_EQ(st.coalesced, 1u);
+  EXPECT_TRUE(st.accounted());
+  expect_correct_diff(collector.only(100), owner_w);
+  expect_correct_diff(collector.only(101), collider);
+  expect_correct_diff(collector.only(102), owner_w);
 }
 
 }  // namespace
