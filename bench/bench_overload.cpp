@@ -82,6 +82,17 @@ struct ImagePair {
   RleImage b{0, 0};
 };
 
+/// Fills a request with one pool pair.  Every request names the cycle-level
+/// simulator: the overload, deadline and hedging phases need service times
+/// of milliseconds to saturate the workers, and the default answer engine
+/// finishes a pool image in tens of microseconds.
+void load_pair(ServiceRequest& req, const ImagePair& p) {
+  req.reference = p.a;
+  req.scan = p.b;
+  req.keep_diff = false;
+  req.options.engine = DiffEngine::kSystolic;
+}
+
 /// A small pool of distinct reference/scan pairs reused round-robin, so the
 /// submission loop never pays generation cost while pacing arrivals.
 std::vector<ImagePair> make_pool(std::size_t n, pos_t rows, pos_t width,
@@ -140,9 +151,7 @@ double calibrate_interarrival_us(const std::vector<ImagePair>& pool, int n,
       req.id = static_cast<std::uint64_t>(i);
       req.priority = Priority::kBatch;
       const ImagePair& p = pool[static_cast<std::size_t>(i) % pool.size()];
-      req.reference = p.a;
-      req.scan = p.b;
-      req.keep_diff = false;
+      load_pair(req, p);
       service.try_submit(std::move(req));
     }
     service.drain();
@@ -216,9 +225,7 @@ PhaseOutcome run_phase(const std::vector<ImagePair>& pool, double load,
       req.deadline = Deadline::after(std::chrono::microseconds(
           static_cast<std::int64_t>(deadline_us)));
     const ImagePair& p = pool[static_cast<std::size_t>(i) % pool.size()];
-    req.reference = p.a;
-    req.scan = p.b;
-    req.keep_diff = false;
+    load_pair(req, p);
     service.try_submit(std::move(req));
   }
   service.drain();
@@ -315,9 +322,7 @@ RouterPhaseOutcome run_router_phase(const std::vector<ImagePair>& pool,
       const std::vector<std::uint64_t>& keys = hot ? hot_keys : cold_keys;
       req.route_key = keys[static_cast<std::size_t>(i) % keys.size()];
       const ImagePair& p = pool[static_cast<std::size_t>(i) % pool.size()];
-      req.reference = p.a;
-      req.scan = p.b;
-      req.keep_diff = false;
+      load_pair(req, p);
       (void)router.try_submit(std::move(req));
     }
     router.drain();
@@ -418,9 +423,7 @@ PhaseOutcome run_breaker_phase(const std::vector<ImagePair>& pool, int n) {
     req.priority = Priority::kBatch;
     req.fault = fault;
     const ImagePair& p = pool[static_cast<std::size_t>(i) % pool.size()];
-    req.reference = p.a;
-    req.scan = p.b;
-    req.keep_diff = false;
+    load_pair(req, p);
     service.try_submit(std::move(req));
     // Give workers a moment so failures (not queue_full) dominate the early
     // submissions and the breaker sees consecutive kFailed responses.

@@ -133,8 +133,8 @@ int main(int argc, char** argv) {
     const RleImage a = read_rle(ra);
     std::istringstream rb(scan_bytes[p]);
     const RleImage b = read_rle(rb);
-    (void)canonical_fingerprint(a);
-    (void)canonical_fingerprint(b);
+    (void)image_fingerprint(a);
+    (void)image_fingerprint(b);
     ImageDiffResult r = image_diff(a, b, options);
     if (i < kScanPool) baseline_diffs[p] = std::move(r.diff);
   }

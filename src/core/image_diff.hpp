@@ -36,7 +36,12 @@ const char* to_string(DiffEngine engine);
 
 /// Options for image_diff.
 struct ImageDiffOptions {
-  DiffEngine engine = DiffEngine::kSystolic;
+  /// The answer engine.  With canonical output, kSequentialMerge runs the
+  /// word-parallel sequential_engine_xor; the simulators (kSystolic,
+  /// kBusSystolic, kAdaptive) run only when named, for the model
+  /// quantities they count (iterations, swaps, raw piecewise output).
+  /// Every other engine default in the program reads this one.
+  DiffEngine engine = DiffEngine::kSequentialMerge;
   /// Merge adjacent runs in every output row.
   bool canonicalize_output = true;
 

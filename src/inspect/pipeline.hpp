@@ -20,7 +20,7 @@ namespace sysrle {
 /// Pipeline configuration.
 struct InspectionOptions {
   /// Row-diff engine for the difference stage.
-  DiffEngine engine = DiffEngine::kSystolic;
+  DiffEngine engine = ImageDiffOptions{}.engine;
 
   /// Worker threads for the difference stage's row loop (0 = auto, 1 =
   /// serial; see ImageDiffOptions::threads).

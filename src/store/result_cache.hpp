@@ -50,7 +50,7 @@ namespace sysrle {
 struct ResultKey {
   std::uint64_t fp_a = 0;
   std::uint64_t fp_b = 0;
-  DiffEngine engine = DiffEngine::kSystolic;
+  DiffEngine engine = ImageDiffOptions{}.engine;
   bool canonicalize = true;
 
   friend bool operator==(const ResultKey&, const ResultKey&) = default;

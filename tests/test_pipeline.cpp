@@ -47,10 +47,19 @@ TEST(Pipeline, CleanBoardPasses) {
   EXPECT_EQ(r.difference_pixels, 0);
 }
 
+TEST(Pipeline, DefaultEngineIsTheAnswerEngine) {
+  EXPECT_EQ(InspectionOptions{}.engine, ImageDiffOptions{}.engine);
+  const Fixture f = make_fixture(2002, 8);
+  const InspectionReport r = inspect(f.reference, f.scan);
+  EXPECT_EQ(r.diff_counters, SystolicCounters{});
+}
+
 TEST(Pipeline, DefectiveBoardFails) {
   const Fixture f = make_fixture(2002, 8);
   ASSERT_GT(f.injected.size(), 0u);
-  const InspectionReport r = inspect(f.reference, f.scan);
+  InspectionOptions options;
+  options.engine = DiffEngine::kSystolic;
+  const InspectionReport r = inspect(f.reference, f.scan, options);
   EXPECT_FALSE(r.pass);
   EXPECT_GT(r.defects.size(), 0u);
   EXPECT_GT(r.difference_pixels, 0);

@@ -60,6 +60,11 @@ TEST(ResultCache, KeyDistinguishesEngineAndCanonicalization) {
   EXPECT_FALSE(k == key(b, a, base));  // order matters
 }
 
+TEST(ResultCache, DefaultKeyNamesTheDefaultEngine) {
+  // A key built field by field and one built from default options agree.
+  EXPECT_EQ(ResultKey{}, result_key(0, 0, ImageDiffOptions{}));
+}
+
 TEST(ResultCache, MissThenHit) {
   ResultCache cache;
   const auto a = shared_image(1);
