@@ -14,20 +14,16 @@
 //   2. Deadline storm — requests carrying deadlines shorter than the queue
 //      delay are shed as deadline_expired (at submit or after admission),
 //      and expired requests stop consuming engine cycles mid-image.
-//   3. Breaker trip — with the checked engine, an injected permanent fault
-//      and no fallback, every request fails; the service breaker opens
-//      after `failure_threshold` consecutive failures and later arrivals
-//      shed as circuit_open without touching the backend.
-//   4. Farm relief — a farm with one permanently flaky machine, with and
+//   3. Farm relief — a farm with one permanently flaky machine, with and
 //      without per-machine circuit breakers: the breaker caps the wasted
 //      dispatches at threshold + half-open probes and the makespan drops
 //      back toward the healthy-farm value.
-//   5. Hot shard — a 2x2 ShardRouter topology with 70% of route keys pinned
+//   4. Hot shard — a 2x2 ShardRouter topology with 70% of route keys pinned
 //      to one shard at 2x load: hedges fire for slow interactive requests
 //      (hedges_fired > 0) AND the hedge budget caps them
 //      (hedges_suppressed > 0), so hedging never doubles offered load
 //      exactly when there is no headroom.
-//   6. Kill a replica — same topology at 0.5x load; a hot-shard replica is
+//   5. Kill a replica — same topology at 0.5x load; a hot-shard replica is
 //      killed mid-phase.  Zero silent drops (router accounting identity
 //      holds across the kill) and interactive p99 stays within 2x of the
 //      healthy-topology phase driven by the *identical* arrival stream.
@@ -37,7 +33,7 @@
 //      router-level shed), every hedged / failed-over / coalesced request
 //      must have its respond on record, and a hedge win must leave a
 //      retained anomaly timeline.
-//   7. Flight-recorder overhead — the closed-loop calibration workload runs
+//   6. Flight-recorder overhead — the closed-loop calibration workload runs
 //      twice, recorder installed vs not; the instrumented per-request cost
 //      must stay within 25% of the disabled cost (the disabled fast path is
 //      one relaxed atomic load, the enabled path a ticket fetch_add plus
@@ -64,7 +60,6 @@
 
 #include "common/fixed_table.hpp"
 #include "common/stats.hpp"
-#include "core/faults.hpp"
 #include "core/machine_farm.hpp"
 #include "service/service.hpp"
 #include "service/shard_router.hpp"
@@ -125,8 +120,8 @@ struct PhaseOutcome {
   /// request produced exactly one response: nothing vanished.
   bool accounted() const {
     const std::uint64_t submit_shed =
-        stats.shed_queue_full + stats.shed_circuit_open +
-        stats.shed_shutdown + stats.shed_deadline_at_submit;
+        stats.shed_queue_full + stats.shed_shutdown +
+        stats.shed_deadline_at_submit;
     return stats.offered == stats.admitted + submit_shed &&
            responses == stats.admitted;
   }
@@ -166,7 +161,7 @@ double calibrate_interarrival_us(const std::vector<ImagePair>& pool, int n,
 /// Derives a phase's Poisson arrival-stream seed from (seed, phase index)
 /// alone.  Worker count, shard/replica topology, and the backend seed never
 /// enter: two phases handed the same (seed, phase) pair offer byte-identical
-/// traffic, which is what makes cross-topology latency comparisons (phase 6:
+/// traffic, which is what makes cross-topology latency comparisons (phase 5:
 /// healthy vs replica-down) honest.
 std::uint64_t arrival_seed_for(std::uint64_t seed, std::uint64_t phase) {
   std::uint64_t z = seed ^ 0xa11ca75ull ^ (phase * 0x9e3779b97f4a7c15ull);
@@ -392,48 +387,6 @@ FlightAudit audit_flight(const FlightRecorder& flight) {
   return audit;
 }
 
-/// Breaker-trip phase: checked engine, permanent stuck-comparator fault,
-/// fallback disabled, zero retries — every processed request fails, so the
-/// service breaker must open and later arrivals must shed as circuit_open.
-PhaseOutcome run_breaker_phase(const std::vector<ImagePair>& pool, int n) {
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.use_checked_engine = true;
-  cfg.recovery.max_retries = 0;
-  cfg.recovery.fallback_to_sequential = false;
-  cfg.breaker.failure_threshold = 3;
-  // Longer than the phase: once open, the breaker stays open to the end.
-  cfg.breaker.open_duration = 60'000'000;
-
-  FaultSpec fault;
-  fault.kind = FaultKind::kNoSwap;
-  fault.activation = FaultActivation::kPermanent;
-  fault.cell = 0;
-
-  PhaseOutcome out;
-  std::mutex mu;
-  DiffService service(cfg, [&](ServiceResponse r) {
-    std::lock_guard<std::mutex> lk(mu);
-    ++out.responses;
-    out.rows_processed += r.rows_processed;
-  });
-  for (int i = 0; i < n; ++i) {
-    ServiceRequest req;
-    req.id = static_cast<std::uint64_t>(i);
-    req.priority = Priority::kBatch;
-    req.fault = fault;
-    const ImagePair& p = pool[static_cast<std::size_t>(i) % pool.size()];
-    load_pair(req, p);
-    service.try_submit(std::move(req));
-    // Give workers a moment so failures (not queue_full) dominate the early
-    // submissions and the breaker sees consecutive kFailed responses.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  service.drain();
-  out.stats = service.stats();
-  return out;
-}
-
 struct FarmComparison {
   FarmResult without_breaker;
   FarmResult with_breaker;
@@ -558,21 +511,11 @@ int main(int argc, char** argv) {
       storm.stats.shed_deadline_after_admit == 0 ||
       storm.rows_processed < storm_row_budget;
 
-  // --- 3. breaker trip ----------------------------------------------------
-  const PhaseOutcome breaker = run_breaker_phase(pool, smoke ? 16 : 32);
-  std::cout << "--- 3. breaker trip (permanent fault, no fallback) ---\n"
-            << "failed: " << breaker.stats.failed
-            << "  shed circuit_open: " << breaker.stats.shed_circuit_open
-            << '\n';
-  const bool breaker_opens_under_faults =
-      breaker.accounted() && breaker.stats.failed >= 3 &&
-      breaker.stats.shed_circuit_open > 0;
-
-  // --- 4. farm relief -----------------------------------------------------
+  // --- 3. farm relief -----------------------------------------------------
   const FarmComparison farm = run_farm_phase(smoke ? 32 : 96, kWidth);
   const FarmResult& fw = farm.without_breaker;
   const FarmResult& fb = farm.with_breaker;
-  std::cout << "--- 4. farm relief (machine 1 permanently flaky) ---\n"
+  std::cout << "--- 3. farm relief (machine 1 permanently flaky) ---\n"
             << "without breakers: makespan " << fw.makespan
             << " faulty dispatches " << fw.faulty_dispatches
             << " wasted cycles " << fw.faulty_cycles << '\n'
@@ -596,7 +539,7 @@ int main(int argc, char** argv) {
       fb.makespan <= fw.makespan + fb.critical_row &&
       fb.faulty_dispatches < fw.faulty_dispatches;
 
-  // --- 5. hot shard -------------------------------------------------------
+  // --- 4. hot shard -------------------------------------------------------
   // 70% of keys pinned to shard 0 at 2x load: the hot shard queues, slow
   // interactive requests cross the short fixed hedge delay (~a quarter
   // service time) and hedge to the sibling replica; the deliberately
@@ -613,7 +556,7 @@ int main(int argc, char** argv) {
       run_router_phase(pool, 2.0, kRequests, interarrival_us,
                        /*hot_fraction=*/0.7, hot_hedge, kSeed,
                        arrival_seed_for(kSeed, 4), /*kill_at=*/-1);
-  std::cout << "--- 5. hot shard (2x2 router, 70% keys on shard 0, 2x load) "
+  std::cout << "--- 4. hot shard (2x2 router, 70% keys on shard 0, 2x load) "
                "---\n"
             << "hedges fired: " << hot.stats.hedges_fired << "  won: "
             << hot.stats.hedges_won << "  suppressed: "
@@ -627,7 +570,7 @@ int main(int argc, char** argv) {
   const bool hedges_fired_under_overload = hot.stats.hedges_fired > 0;
   const bool hedge_budget_caps_hedges = hot.stats.hedges_suppressed > 0;
 
-  // --- 6. kill a replica --------------------------------------------------
+  // --- 5. kill a replica --------------------------------------------------
   // Same topology and the SAME arrival stream twice: once healthy, once with
   // hot-shard replica (0,0) killed an eighth of the way in.  Failover keeps
   // the killed run's interactive p99 within 2x of the healthy run's, and
@@ -658,7 +601,7 @@ int main(int argc, char** argv) {
   for (const FlightRecorder::RetainedTimeline& t : retained)
     if (t.anomaly == "hedge_won" && !t.events.empty())
       hedge_win_retained = true;
-  std::cout << "--- 6. kill a replica (replica 0.0 down from request "
+  std::cout << "--- 5. kill a replica (replica 0.0 down from request "
             << kRequests / 8 << ") ---\n"
             << "healthy:      completed " << healthy.stats.completed
             << "  int-p99 " << p99_healthy << " us\n"
@@ -691,7 +634,7 @@ int main(int argc, char** argv) {
       audit.missing_terminal == 0 && audit.interesting_without_respond == 0 &&
       hedge_win_retained;
 
-  // --- 7. flight-recorder overhead ----------------------------------------
+  // --- 6. flight-recorder overhead ----------------------------------------
   // The same closed-loop workload as the capacity calibration, with and
   // without the recorder installed.  The instrumented run records the full
   // per-request event set, so this is the marginal cost of flying with the
@@ -705,7 +648,7 @@ int main(int argc, char** argv) {
       calibrate_interarrival_us(pool, overhead_n, kWorkers);
   set_flight_recorder(nullptr);
   const double overhead_ratio = enabled_us_per_req / disabled_us_per_req;
-  std::cout << "--- 7. flight-recorder overhead (closed loop, " << overhead_n
+  std::cout << "--- 6. flight-recorder overhead (closed loop, " << overhead_n
             << " requests) ---\n"
             << "disabled: " << disabled_us_per_req
             << " us/request   enabled: " << enabled_us_per_req
@@ -715,9 +658,8 @@ int main(int argc, char** argv) {
 
   const bool all_ok = no_silent_drops && typed_shed_under_overload &&
                       interactive_p99_bounded && deadline_sheds_typed &&
-                      deadline_stops_work && breaker_opens_under_faults &&
-                      farm_breaker_relief && router_no_silent_drops &&
-                      hedges_fired_under_overload &&
+                      deadline_stops_work && farm_breaker_relief &&
+                      router_no_silent_drops && hedges_fired_under_overload &&
                       hedge_budget_caps_hedges && replica_down_failover &&
                       replica_down_p99_bounded && flight_timelines_complete &&
                       flight_overhead_bounded;
@@ -753,8 +695,6 @@ int main(int argc, char** argv) {
     report.set_scalar("p99_at_overload_us", p99_2x);
     report.set_scalar("storm_deadline_sheds",
                       static_cast<double>(storm_deadline_sheds));
-    report.set_scalar("breaker_circuit_open_sheds",
-                      static_cast<double>(breaker.stats.shed_circuit_open));
     report.set_scalar("farm_faulty_cycles_without_breaker",
                       static_cast<double>(fw.faulty_cycles));
     report.set_scalar("farm_faulty_cycles_with_breaker",
@@ -787,7 +727,6 @@ int main(int argc, char** argv) {
     report.set_check("interactive_p99_bounded", interactive_p99_bounded);
     report.set_check("deadline_sheds_typed", deadline_sheds_typed);
     report.set_check("deadline_stops_work", deadline_stops_work);
-    report.set_check("breaker_opens_under_faults", breaker_opens_under_faults);
     report.set_check("farm_breaker_relief", farm_breaker_relief);
     report.set_check("router_no_silent_drops", router_no_silent_drops);
     report.set_check("hedges_fired_under_overload",

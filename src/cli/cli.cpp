@@ -112,19 +112,24 @@ class ArgParser {
   explicit ArgParser(std::vector<std::string> args) : args_(std::move(args)) {}
 
   /// Splits into positionals and options.  `value_flags` lists options that
-  /// consume a value; everything else starting with "--" is boolean.
-  void parse(const std::vector<std::string>& value_flags) {
+  /// consume a value, `bool_flags` those that stand alone; any other
+  /// "--word" is a usage error naming it, never silently ignored.
+  void parse(const std::vector<std::string>& value_flags,
+             const std::vector<std::string>& bool_flags = {}) {
+    const auto listed = [](const std::vector<std::string>& flags,
+                           const std::string& a) {
+      return std::find(flags.begin(), flags.end(), a) != flags.end();
+    };
     for (std::size_t i = 0; i < args_.size(); ++i) {
       const std::string& a = args_[i];
       if (a.rfind("--", 0) == 0) {
-        const bool takes_value =
-            std::find(value_flags.begin(), value_flags.end(), a) !=
-            value_flags.end();
-        if (takes_value) {
+        if (listed(value_flags, a)) {
           SYSRLE_REQUIRE(i + 1 < args_.size(), "missing value for " + a);
           options_[a] = args_[++i];
-        } else {
+        } else if (listed(bool_flags, a)) {
           options_[a] = "";
+        } else {
+          usage_error("unknown flag " + a);
         }
       } else if (a == "-o") {
         SYSRLE_REQUIRE(i + 1 < args_.size(), "missing value for -o");
@@ -255,7 +260,8 @@ void write_parallelism_members(JsonWriter& w, const ImageDiffResult& r) {
 // ------------------------------------------------------------- subcommands
 
 int cmd_diff(ArgParser& args, std::ostream& out) {
-  args.parse({"--engine", "--output", "--threads"});
+  args.parse({"--engine", "--output", "--threads"},
+             {"--canonical", "--stats", "--json"});
   if (args.positional().size() != 2)
     usage_error(
         "diff <a> <b> [-o FILE] [--engine E] [--threads N] [--canonical] "
@@ -387,7 +393,7 @@ int cmd_convert(ArgParser& args, std::ostream& out) {
 }
 
 int cmd_stats(ArgParser& args, std::ostream& out) {
-  args.parse({});
+  args.parse({}, {"--json"});
   if (args.positional().size() != 1) usage_error("stats <file> [--json]");
   const RleImage img = load_image(args.positional()[0]);
 
@@ -485,7 +491,8 @@ FaultActivation parse_fault_activation(const std::string& name) {
 
 int cmd_campaign(ArgParser& args, std::ostream& out) {
   args.parse({"--rows", "--width", "--seed", "--error", "--kind", "--model",
-              "--retries", "--cell-stride"});
+              "--retries", "--cell-stride"},
+             {"--no-fallback", "--csv"});
   if (!args.positional().empty())
     usage_error("campaign [--rows N] [--width W] [--seed S] [--error F] "
                 "[--kind K] [--model M] [--retries R] [--cell-stride N] "
@@ -839,12 +846,8 @@ int cmd_serve(ArgParser& args, std::ostream& out,
               "--seed", "--shards", "--replicas", "--hedge-ms",
               "--flight-recorder", "--flight-out", "--slo-p99-ms",
               "--kill-replica", "--store-cap-mb", "--cache-cap-mb",
-              "--store-dir", "--snapshot-every"});
-  // Responses carry no machine counters, so every request is answered by
-  // the answer engine; model quantities come from diff/perf --engine.
-  if (args.has("--engine"))
-    usage_error("serve has no --engine: use diff or perf --engine for "
-                "model counters");
+              "--store-dir", "--snapshot-every"},
+             {"--store", "--json"});
   if (!args.positional().empty() || !args.has("--requests"))
     usage_error(
         "serve --requests <file|-> [--workers N] [--queue-cap M] "
@@ -853,7 +856,7 @@ int cmd_serve(ArgParser& args, std::ostream& out,
         "[--flight-out FILE] [--slo-p99-ms D] "
         "[--kill-replica S.R@K] [--store] [--store-dir DIR] "
         "[--snapshot-every N] [--store-cap-mb N] "
-        "[--cache-cap-mb N] [--checked] [--json]");
+        "[--cache-cap-mb N] [--json]");
   const std::string requests_path = args.get("--requests", "-");
   const std::int64_t workers = args.get_int("--workers", 2);
   const std::int64_t queue_cap = args.get_int("--queue-cap", 64);
@@ -975,7 +978,6 @@ int cmd_serve(ArgParser& args, std::ostream& out,
       static_cast<std::size_t>(queue_cap);
   rcfg.replica_service.admission.batch_capacity =
       static_cast<std::size_t>(queue_cap);
-  rcfg.replica_service.use_checked_engine = args.has("--checked");
   rcfg.replica_service.seed = static_cast<std::uint64_t>(seed);
   // A second dispatch needs a second place to land; with a single replica
   // every hedge would be unroutable noise.
@@ -993,7 +995,7 @@ int cmd_serve(ArgParser& args, std::ostream& out,
   FlightRecorder* const flight = recorder ? &*recorder : nullptr;
 
   // Interactive SLO: a request is good iff it completed within the target.
-  // Rejected/failed interactive requests burn budget regardless of latency.
+  // Rejected interactive requests burn budget regardless of latency.
   SloTracker::Config slo_cfg;
   slo_cfg.target_us = static_cast<std::uint64_t>(slo_p99_ms) * 1000;
   SloTracker slo(slo_cfg);
@@ -1043,7 +1045,6 @@ int cmd_serve(ArgParser& args, std::ostream& out,
       HandleOutcome& h = it->second;
       switch (r.status) {
         case ServiceResponse::Status::kCompleted: h.status = "completed"; break;
-        case ServiceResponse::Status::kFailed: h.status = "failed"; break;
         case ServiceResponse::Status::kRejected: h.status = "rejected"; break;
       }
       h.from_cache = r.from_cache;
@@ -1159,7 +1160,7 @@ int cmd_serve(ArgParser& args, std::ostream& out,
   if (args.has("--json")) {
     JsonWriter w(out);
     w.begin_object();
-    w.member("schema", "sysrle.serve.v5");
+    w.member("schema", "sysrle.serve.v6");
     w.key("params");
     w.begin_object();
     w.member("requests", n_requests);
@@ -1168,7 +1169,6 @@ int cmd_serve(ArgParser& args, std::ostream& out,
     w.member("queue_cap", queue_cap);
     w.member("deadline_ms", default_deadline_ms);
     w.member("seed", seed);
-    w.member("checked", args.has("--checked"));
     w.member("shards", shards);
     w.member("replicas", replicas);
     w.member("hedge_ms", hedge_ms);
@@ -1190,7 +1190,6 @@ int cmd_serve(ArgParser& args, std::ostream& out,
     w.member("offered", rt.offered);
     w.member("admitted", rt.admitted);
     w.member("completed", rt.completed);
-    w.member("failed", rt.failed);
     w.member("rejected", rt.rejected);
     w.key("shed");
     w.begin_object();
@@ -1224,11 +1223,9 @@ int cmd_serve(ArgParser& args, std::ostream& out,
     w.member("offered", st.offered);
     w.member("admitted", st.admitted);
     w.member("completed", st.completed);
-    w.member("failed", st.failed);
     w.key("shed");
     w.begin_object();
     w.member("queue_full", st.shed_queue_full);
-    w.member("circuit_open", st.shed_circuit_open);
     w.member("shutdown", st.shed_shutdown);
     w.member("deadline_at_submit", st.shed_deadline_at_submit);
     w.member("deadline_after_admit", st.shed_deadline_after_admit);
@@ -1236,8 +1233,6 @@ int cmd_serve(ArgParser& args, std::ostream& out,
     w.member("total", st.shed_total());
     w.end_object();
     w.member("deadline_misses", st.deadline_misses);
-    w.member("retries", st.retries);
-    w.member("retry_budget_exhausted", st.retry_budget_exhausted);
     w.member("fallback_rows", st.fallback_rows);
     w.member("engine_invocations", st.engine_invocations);
     w.end_object();
@@ -1414,7 +1409,6 @@ int cmd_serve(ArgParser& args, std::ostream& out,
     table.add_row({"offered", FixedTable::num(rt.offered)});
     table.add_row({"admitted", FixedTable::num(rt.admitted)});
     table.add_row({"completed", FixedTable::num(rt.completed)});
-    table.add_row({"failed", FixedTable::num(rt.failed)});
     table.add_row({"rejected", FixedTable::num(rt.rejected)});
     table.add_row({"shed shutdown", FixedTable::num(rt.shed_shutdown)});
     table.add_row(
@@ -1431,7 +1425,6 @@ int cmd_serve(ArgParser& args, std::ostream& out,
       table.add_row({"cache misses", FixedTable::num(rt.cache_misses)});
     }
     table.add_row({"deadline misses", FixedTable::num(st.deadline_misses)});
-    table.add_row({"retries", FixedTable::num(st.retries)});
     out << table.str();
     if (store) {
       const StoreStats ss = store->stats();
@@ -1476,9 +1469,8 @@ int cmd_serve(ArgParser& args, std::ostream& out,
           << flight->dropped() << " retained=" << flight->retained().size()
           << '\n';
   }
-  // A failed request (unrecovered rows) is a serving error; shed load under
-  // overload is the design working as intended and stays exit 0.
-  return rt.failed == 0 ? 0 : 1;
+  // Shed load under overload is the design working as intended: exit 0.
+  return 0;
 }
 
 /// `sysrle store fsck <dir> [--json]`: read-only integrity check of a
@@ -1488,7 +1480,7 @@ int cmd_serve(ArgParser& args, std::ostream& out,
 /// nothing salvaged or dropped, 1 when fsck found issues (recovery would
 /// still succeed — by salvaging/dropping what fsck flagged), 2 on usage.
 int cmd_store(ArgParser& args, std::ostream& out) {
-  args.parse({});
+  args.parse({}, {"--json"});
   const auto& pos = args.positional();
   if (pos.size() != 2 || pos[0] != "fsck")
     usage_error("store fsck <dir> [--json]");
@@ -1611,10 +1603,10 @@ void print_help(std::ostream& out) {
          "      [--flight-out FILE] [--slo-p99-ms D]\n"
          "      [--kill-replica S.R@K] [--store] [--store-dir DIR]\n"
          "      [--snapshot-every N] [--store-cap-mb N]\n"
-         "      [--cache-cap-mb N] [--checked] [--json]\n"
+         "      [--cache-cap-mb N] [--json]\n"
          "      run a request file through the overload-safe sharded service\n"
-         "      (bounded admission, deadlines, retry budget, breakers,\n"
-         "      hedging, coalescing); request lines: 'priority rows width\n"
+         "      (bounded admission, deadlines, replica breakers, hedging,\n"
+         "      coalescing); request lines: 'priority rows width\n"
          "      error [deadline_ms]'; --workers 0 sizes the pool from the\n"
          "      hardware.  --flight-recorder N keeps the last N events\n"
          "      (per-request events and spans) in a lock-free ring;\n"

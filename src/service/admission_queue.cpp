@@ -23,8 +23,6 @@ const char* to_string(RejectReason reason) {
       return "queue_full";
     case RejectReason::kDeadlineExpired:
       return "deadline_expired";
-    case RejectReason::kCircuitOpen:
-      return "circuit_open";
     case RejectReason::kShutdown:
       return "shutdown";
     case RejectReason::kCancelled:
@@ -43,8 +41,6 @@ const char* to_string(ServiceResponse::Status status) {
       return "completed";
     case ServiceResponse::Status::kRejected:
       return "rejected";
-    case ServiceResponse::Status::kFailed:
-      return "failed";
   }
   return "unknown";
 }

@@ -165,19 +165,14 @@ ServiceStats ReplicaSet::aggregate_stats() const {
     total.offered += s.offered;
     total.admitted += s.admitted;
     total.completed += s.completed;
-    total.failed += s.failed;
     total.shed_queue_full += s.shed_queue_full;
-    total.shed_circuit_open += s.shed_circuit_open;
     total.shed_shutdown += s.shed_shutdown;
     total.shed_deadline_at_submit += s.shed_deadline_at_submit;
     total.shed_deadline_after_admit += s.shed_deadline_after_admit;
     total.cancelled += s.cancelled;
     total.deadline_misses += s.deadline_misses;
-    total.retries += s.retries;
     total.engine_invocations += s.engine_invocations;
-    total.retry_budget_exhausted += s.retry_budget_exhausted;
     total.fallback_rows += s.fallback_rows;
-    total.unrecovered_rows += s.unrecovered_rows;
   }
   return total;
 }

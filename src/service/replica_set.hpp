@@ -4,7 +4,7 @@
 //
 // The paper's array tolerates a dead cell because work is spread over many
 // identical units; this is the same property one level up.  Each replica is
-// an independent DiffService (own queue, own workers, own service breaker);
+// an independent DiffService (own queue, own workers);
 // the ReplicaSet adds what the router needs to survive a replica dying:
 //
 //   preference   rendezvous hashing (highest-random-weight) orders replicas
@@ -12,7 +12,7 @@
 //                dead replica's keys spread *evenly* over the survivors
 //                instead of piling onto one neighbour;
 //   quarantine   a router-level breaker per replica trips after consecutive
-//                sheds/failures, removing the replica from every key's
+//                submit sheds, removing the replica from every key's
 //                preference order until a half-open probe succeeds
 //                (probe re-admission) — "keeps shedding" is a health signal
 //                here even though each shed was a correct local decision;
@@ -41,7 +41,7 @@ struct ReplicaSetConfig {
   std::size_t replicas = 2;
   /// Per-replica DiffService shape (queue caps, workers, seed...).
   ServiceConfig service;
-  /// Router-level breaker tripped by consecutive sheds/failures; clocked in
+  /// Router-level breaker tripped by consecutive submit sheds; clocked in
   /// microseconds of router uptime.
   BreakerPolicy breaker{.failure_threshold = 3,
                         .open_duration = 50000,

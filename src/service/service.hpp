@@ -1,9 +1,10 @@
 #pragma once
 // DiffService: the overload-safe front door to the diff engines.
 //
-// Wraps the existing row engines (systolic / bus / sequential — and
-// checked_xor when checked mode is on) behind a concurrent request executor
-// with the serving-side protections production RLE pipelines rely on:
+// Runs each request's rows through StreamDiffer (diff_row on the engine the
+// request's options name, with StreamDiffer's per-row sequential fallback
+// when an engine throws) behind a concurrent request executor with the
+// serving-side protections production RLE pipelines rely on:
 //
 //   admission   bounded two-class queue, typed load shedding (never a
 //               silent drop: offered == admitted + shed, and every admitted
@@ -11,33 +12,26 @@
 //   deadlines   propagated into the engine — checked at dequeue and between
 //               rows, so an expired request stops consuming machine cycles
 //               mid-image;
-//   retries     the shared token-bucket RetryBudget gates every checked-
-//               engine retry, with exponential backoff + seeded jitter;
-//   breaker     a service-level circuit breaker opens after consecutive
-//               request failures and rejects with Rejected{circuit_open}
-//               until a half-open probe succeeds (per-machine breakers live
-//               in core/machine_farm);
 //   drain       stop admitting, finish queued + in-flight work, deliver
 //               every response, flush telemetry gauges.
 //
+// Fault injection, checked execution and retries model the systolic array
+// and live in the model world (core/checked_diff, core/campaign,
+// core/machine_farm); replica breakers live in the shard router.
+//
 // Metrics (docs/OBSERVABILITY.md): service.queue_depth,
 // service.shed_total.<reason>, service.deadline_miss_total,
-// service.retry_budget_exhausted_total, service.breaker_state.service,
 // service.queue_wait_us, service.latency_us.{interactive,batch}.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "core/checked_diff.hpp"
-#include "core/circuit_breaker.hpp"
 #include "service/admission_queue.hpp"
-#include "service/retry_budget.hpp"
 #include "service/types.hpp"
 
 namespace sysrle {
@@ -49,24 +43,9 @@ struct ServiceConfig {
   /// "unknown" treated as 1, capped at kMaxThreads.
   std::size_t workers = 2;
   AdmissionConfig admission;
-  RetryBudgetConfig retry_budget;
-  BackoffPolicy backoff;
 
-  /// Recovery policy for checked mode; its retry_gate is overwritten per
-  /// request with the budget+deadline gate.
-  RecoveryPolicy recovery;
-  /// Run rows through checked_xor (checkers + watchdog + gated retries).
-  /// Off: the engine from ServiceRequest::options runs bare, still with the
-  /// per-row sequential fallback of StreamDiffer.
-  bool use_checked_engine = false;
-
-  /// Service-level breaker over request failures (kFailed responses).
-  BreakerPolicy breaker{.failure_threshold = 3,
-                        .open_duration = 50000,  // µs of service uptime
-                        .probe_successes_to_close = 1};
-
-  /// Seeds backoff jitter and batch early-shed sampling; equal seeds give
-  /// byte-identical retry/shed behaviour (docs/TESTING.md).
+  /// Seeds batch early-shed sampling; equal seeds give byte-identical shed
+  /// behaviour (docs/TESTING.md).
   std::uint64_t seed = 42;
 };
 
@@ -77,11 +56,9 @@ struct ServiceStats {
   std::uint64_t offered = 0;
   std::uint64_t admitted = 0;
   std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
 
   // Submit-time sheds (returned synchronously, no response delivered).
   std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_circuit_open = 0;
   std::uint64_t shed_shutdown = 0;
   std::uint64_t shed_deadline_at_submit = 0;
 
@@ -90,20 +67,17 @@ struct ServiceStats {
   std::uint64_t cancelled = 0;  ///< kRejected{cancelled} responses (hedging)
 
   std::uint64_t deadline_misses = 0;  ///< all deadline-expired outcomes
-  std::uint64_t retries = 0;          ///< budgeted retries actually taken
   /// Requests that actually entered the engine row loop.  The result cache
   /// asserts its contract against this: a cache hit must not move it.
   std::uint64_t engine_invocations = 0;
-  std::uint64_t retry_budget_exhausted = 0;
   std::uint64_t fallback_rows = 0;
-  std::uint64_t unrecovered_rows = 0;
 
   std::uint64_t shed_total() const {
-    return shed_queue_full + shed_circuit_open + shed_shutdown +
-           shed_deadline_at_submit + shed_deadline_after_admit + cancelled;
+    return shed_queue_full + shed_shutdown + shed_deadline_at_submit +
+           shed_deadline_after_admit + cancelled;
   }
   std::uint64_t responses() const {
-    return completed + failed + shed_deadline_after_admit + cancelled;
+    return completed + shed_deadline_after_admit + cancelled;
   }
 };
 
@@ -129,36 +103,25 @@ class DiffService {
   void drain();
 
   ServiceStats stats() const;
-  BreakerState breaker_state() const;
   std::size_t queue_depth() const { return queue_.depth(); }
-  const RetryBudget& retry_budget() const { return budget_; }
 
  private:
   void worker_loop();
   void process(AdmissionQueue::Item item);
   void respond(ServiceResponse response);
-  /// Microseconds since service construction (the breaker's clock).
-  std::uint64_t now_us() const;
 
   ServiceConfig config_;
   Completion on_complete_;
   AdmissionQueue queue_;
-  RetryBudget budget_;
-  std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex breaker_mu_;
-  CircuitBreaker breaker_;
 
   std::atomic<bool> draining_{false};
   std::once_flag drain_once_;
 
   // Stats (atomics: workers and submitters update concurrently).
   std::atomic<std::uint64_t> offered_{0}, admitted_{0}, completed_{0},
-      failed_{0}, shed_queue_full_{0}, shed_circuit_open_{0},
-      shed_shutdown_{0}, shed_deadline_at_submit_{0},
+      shed_queue_full_{0}, shed_shutdown_{0}, shed_deadline_at_submit_{0},
       shed_deadline_after_admit_{0}, cancelled_{0}, deadline_misses_{0},
-      retries_{0}, engine_invocations_{0}, fallback_rows_{0},
-      unrecovered_rows_{0};
+      engine_invocations_{0}, fallback_rows_{0};
 
   std::vector<std::thread> workers_;
 };

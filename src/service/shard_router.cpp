@@ -36,10 +36,10 @@ double us_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
-/// Fault injection and engine overrides change behaviour per request, so a
-/// hooked request neither shares a computation nor touches the cache.
+/// An engine override changes behaviour per request, so a hooked request
+/// neither shares a computation nor touches the cache.
 bool hooked(const ServiceRequest& request) {
-  return request.fault || request.engine_override;
+  return static_cast<bool>(request.engine_override);
 }
 
 /// True when `x` and `y` diff the same operands.  By-handle operands share
@@ -65,8 +65,7 @@ ShardRouter::ShardRouter(RouterConfig config, Completion on_complete)
     : config_(config),
       on_complete_(std::move(on_complete)),
       epoch_(std::chrono::steady_clock::now()),
-      hedge_budget_(config.hedge.budget,
-                    "router.hedge_budget_exhausted_total") {
+      hedge_budget_(config.hedge.budget) {
   SYSRLE_REQUIRE(config_.shards >= 1, "ShardRouter: need at least one shard");
   SYSRLE_REQUIRE(config_.replicas >= 1,
                  "ShardRouter: need at least one replica per shard");
@@ -376,7 +375,7 @@ bool ShardRouter::submit_to_replica_locked(const std::shared_ptr<Call>& call,
   const std::optional<RejectReason> reason =
       service->try_submit(std::move(backend));
   if (reason) {
-    // A shed — queue_full, shutdown (killed replica), circuit_open — is the
+    // A shed — queue_full, shutdown (killed replica) — is the
     // router-level health signal: it counts as a replica failure so a
     // replica that keeps shedding gets quarantined.
     const BreakerState before = sets_[shard]->breaker_state(replica);
@@ -420,17 +419,6 @@ void ShardRouter::on_replica_response(std::size_t shard, std::size_t replica,
       case ServiceResponse::Status::kCompleted:
         sets_[shard]->record_success(replica, now_us());
         break;
-      case ServiceResponse::Status::kFailed: {
-        const BreakerState before = sets_[shard]->breaker_state(replica);
-        const BreakerState after =
-            sets_[shard]->record_failure(replica, now_us());
-        if (before != BreakerState::kOpen && after == BreakerState::kOpen) {
-          flight_record(FlightEventKind::kBreakerTrip, dispatch.ctx,
-                        "replica_failed");
-          flight_retain(dispatch.ctx.request_id, "breaker_trip");
-        }
-        break;
-      }
       case ServiceResponse::Status::kRejected:
         sets_[shard]->release_probe(replica);
         break;
@@ -449,21 +437,11 @@ void ShardRouter::on_replica_response(std::size_t shard, std::size_t replica,
     } else if (response.status == ServiceResponse::Status::kCompleted) {
       finish_call_locked(call, response, dispatch.is_hedge, dispatch.ctx,
                          deliveries);
-    } else if (call->pending_dispatches > 0) {
-      // A failure, but a hedge twin is still running — it may yet rescue
-      // the request.  Keep the more informative outcome for the case where
-      // nothing succeeds: an engine failure beats a deadline rejection.
-      if (!call->provisional ||
-          response.status == ServiceResponse::Status::kFailed)
-        call->provisional = std::move(response);
-    } else {
-      ServiceResponse final_response = std::move(response);
-      if (call->provisional &&
-          call->provisional->status == ServiceResponse::Status::kFailed &&
-          final_response.status != ServiceResponse::Status::kFailed)
-        final_response = std::move(*call->provisional);
-      finish_call_locked(call, final_response, dispatch.is_hedge,
-                         dispatch.ctx, deliveries);
+    } else if (call->pending_dispatches == 0) {
+      // A rejection with no hedge twin left to rescue the request (while a
+      // twin still runs, its outcome decides instead).
+      finish_call_locked(call, response, dispatch.is_hedge, dispatch.ctx,
+                         deliveries);
     }
   }
   deliver(deliveries);
@@ -527,9 +505,6 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       if (client.priority == Priority::kInteractive)
         interactive_latency_us_.add(client.total_us);
       break;
-    case ServiceResponse::Status::kFailed:
-      ++stats_.failed;
-      break;
     case ServiceResponse::Status::kRejected:
       ++stats_.rejected;
       break;
@@ -540,9 +515,8 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   out.push_back({client});
 
   // Waiters.  One whose own (shorter) deadline lapsed while the primary
-  // ran is shed typed.  A completed or failed outcome propagates typed to
-  // every other waiter (a bit-identical copy for completions).  A rejected
-  // outcome (the primary's deadline expired or it was shed mid-flight)
+  // ran is shed typed.  A completed outcome propagates to every other
+  // waiter as a bit-identical copy.  A rejected outcome (the primary's deadline expired or it was shed mid-flight)
   // promotes a live waiter into a fresh primary — the computation is still
   // wanted, just not by the original requester.
   std::vector<Waiter> waiters = std::move(call->waiters);
@@ -582,14 +556,11 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   }
 
   std::shared_ptr<Call> promoted;
-  if (winner.status != ServiceResponse::Status::kRejected) {
+  if (winner.status == ServiceResponse::Status::kCompleted) {
     for (const Waiter& waiter : live) {
       ServiceResponse wr = winner;  // same diff bytes as the primary's
       if (!waiter.request.keep_diff) wr.diff = RleImage(0, 0);
-      if (wr.status == ServiceResponse::Status::kCompleted)
-        ++stats_.completed;
-      else
-        ++stats_.failed;
+      ++stats_.completed;
       wr.id = waiter.request.id;
       wr.priority = waiter.request.priority;
       wr.queue_us = 0.0;
@@ -778,19 +749,14 @@ ServiceStats ShardRouter::backend_stats() const {
     total.offered += s.offered;
     total.admitted += s.admitted;
     total.completed += s.completed;
-    total.failed += s.failed;
     total.shed_queue_full += s.shed_queue_full;
-    total.shed_circuit_open += s.shed_circuit_open;
     total.shed_shutdown += s.shed_shutdown;
     total.shed_deadline_at_submit += s.shed_deadline_at_submit;
     total.shed_deadline_after_admit += s.shed_deadline_after_admit;
     total.cancelled += s.cancelled;
     total.deadline_misses += s.deadline_misses;
-    total.retries += s.retries;
     total.engine_invocations += s.engine_invocations;
-    total.retry_budget_exhausted += s.retry_budget_exhausted;
     total.fallback_rows += s.fallback_rows;
-    total.unrecovered_rows += s.unrecovered_rows;
   }
   return total;
 }

@@ -8,7 +8,7 @@
 // mechanisms on top (docs/ROBUSTNESS.md, "Sharded serving and failover"):
 //
 //   failover     per-replica circuit breakers at the router (ReplicaSet)
-//                quarantine a replica that keeps shedding or failing; its
+//                quarantine a replica that keeps shedding; its
 //                keys route to the next replica in rendezvous order, and a
 //                half-open probe re-admits it when it recovers;
 //   hedging      an interactive request still pending after a p99-derived
@@ -23,8 +23,8 @@
 //                fired;
 //   coalescing   identical in-flight diffs (same images, same engine)
 //                share one computation; waiters get a bit-identical copy of
-//                the primary's response, a typed copy of its failure, or —
-//                when the primary's own deadline expired but a waiter's
+//                the primary's response or — when the primary's own
+//                deadline expired but a waiter's
 //                still holds — promotion: the waiter re-dispatches as the
 //                new primary.  The index is the router's own in-flight
 //                calls keyed by ResultKey (inflight_): a join verifies the
@@ -131,7 +131,7 @@ struct RouterStats {
 
   // Delivered client responses by status.
   std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
+  std::uint64_t failed = 0;  ///< never moves; kept because ledger/src reads it
   std::uint64_t rejected = 0;  ///< kRejected responses (deadline/shard_down)
 
   std::uint64_t failovers = 0;  ///< dispatches not on the preferred replica
@@ -247,9 +247,6 @@ class ShardRouter {
     int pending_dispatches = 0;
     bool finished = false;
     bool hedge_fired = false;
-    /// Best failure response seen so far while another dispatch is still
-    /// pending (delivered only if nothing succeeds).
-    std::optional<ServiceResponse> provisional;
 
     /// Dispatch ordinal source: attempt 0 is the first backend submission,
     /// 1+ are failover re-submissions and hedges (RequestContext::attempt).

@@ -631,6 +631,30 @@ TEST_F(CliFixture, ServeHasNoEngineFlag) {
   }
 }
 
+TEST_F(CliFixture, MisspelledFlagIsAUsageErrorNamingIt) {
+  const std::string reqs =
+      write_requests_file("serve_typo.txt", "batch 2 100 0.0\n");
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"diff", path_a_, path_b_, "--stats",
+                                 "--canonicl"},
+        std::vector<std::string>{"diff", path_a_, path_b_, "--frobnicate"},
+        std::vector<std::string>{"serve", "--requests", reqs, "--jsn"}}) {
+    const CliRun r = cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args.back();
+    EXPECT_TRUE(r.out.empty()) << args.back();
+    EXPECT_NE(r.err.find(args.back()), std::string::npos) << r.err;
+  }
+}
+
+TEST_F(CliFixture, ServeHasNoCheckedFlag) {
+  const std::string reqs =
+      write_requests_file("serve_checked.txt", "batch 2 100 0.0\n");
+  const CliRun r = cli({"serve", "--requests", reqs, "--checked"});
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_TRUE(r.out.empty());
+  EXPECT_NE(r.err.find("--checked"), std::string::npos) << r.err;
+}
+
 TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   const std::string reqs = write_requests_file(
       "serve_json.txt",
@@ -638,14 +662,20 @@ TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   const CliRun r = cli({"serve", "--requests", reqs, "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_DOUBLE_EQ(root.at("params").at("requests").number, 3.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 1.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 1.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 3.0);
   EXPECT_DOUBLE_EQ(root.at("admitted").number, 3.0);
   EXPECT_DOUBLE_EQ(root.at("completed").number, 3.0);
-  EXPECT_DOUBLE_EQ(root.at("failed").number, 0.0);
+  // v6 removed the engine-failure and retry fields along with checked mode.
+  EXPECT_EQ(root.find("failed"), nullptr);
+  EXPECT_EQ(root.at("params").find("checked"), nullptr);
+  EXPECT_EQ(root.at("backend").find("failed"), nullptr);
+  EXPECT_EQ(root.at("backend").find("retries"), nullptr);
+  EXPECT_EQ(root.at("backend").find("retry_budget_exhausted"), nullptr);
+  EXPECT_EQ(root.at("backend").at("shed").find("circuit_open"), nullptr);
   EXPECT_DOUBLE_EQ(root.at("shed").at("total").number, 0.0);
   EXPECT_DOUBLE_EQ(root.at("shed").at("shard_down").number, 0.0);
   EXPECT_DOUBLE_EQ(root.at("backend").at("shed").at("cancelled").number, 0.0);
@@ -682,7 +712,7 @@ TEST_F(CliFixture, ServeMultiShardTopologyRoutesAndStaysAccounted) {
                         "--replicas", "2", "--hedge-ms", "50", "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("hedge_ms").number, 50.0);
@@ -713,7 +743,7 @@ TEST_F(CliFixture, ServeEqualSeedsGiveIdenticalDeterministicFields) {
   auto deterministic_fields = [](const JsonValue& root) {
     return std::vector<double>{
         root.at("offered").number,        root.at("admitted").number,
-        root.at("completed").number,      root.at("failed").number,
+        root.at("completed").number,      root.at("rejected").number,
         root.at("shed").at("total").number, root.at("rows_processed").number};
   };
   const CliRun r1 =
@@ -759,7 +789,7 @@ TEST_F(CliFixture, ServeFlightRecorderExportsJsonlAndKillShowsInReport) {
   EXPECT_EQ(r.exit_code, 0) << r.err;
 
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_EQ(root.at("params").at("kill_replica").string, "0.1@3");
   EXPECT_DOUBLE_EQ(root.at("params").at("flight_recorder").number, 1024.0);
   const JsonValue& flight = root.at("flight");
@@ -901,7 +931,7 @@ TEST_F(CliFixture, ServeStoreSessionServesRepeatDiffFromCache) {
       cli({"serve", "--requests", reqs, "--store", "--json"});
   ASSERT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_TRUE(root.at("params").at("store").boolean);
   EXPECT_DOUBLE_EQ(root.at("params").at("registers").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 2.0);
@@ -958,7 +988,7 @@ TEST_F(CliFixture, ServeStoreDirPersistsAcrossSessions) {
       cli({"serve", "--requests", reqs1, "--store-dir", dir, "--json"});
   ASSERT_EQ(first.exit_code, 0) << first.err;
   const JsonValue root1 = parse_json(first.out);
-  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v6");
   EXPECT_EQ(root1.at("params").at("store_dir").string, dir);
   const JsonValue& dur1 = root1.at("durability");
   EXPECT_DOUBLE_EQ(dur1.at("journal").at("appends").number, 2.0);

@@ -1,4 +1,4 @@
-// Tests for the token-bucket retry budget and jittered exponential backoff.
+// Tests for the token-bucket budget that bounds the shard router's hedges.
 
 #include "service/retry_budget.hpp"
 
@@ -62,7 +62,7 @@ TEST(RetryBudget, ExhaustionIsCountedInTelemetry) {
   EXPECT_FALSE(budget.try_spend());
   EXPECT_FALSE(budget.try_spend());
   EXPECT_EQ(global_metrics().snapshot().counter(
-                "service.retry_budget_exhausted_total"),
+                "router.hedge_budget_exhausted_total"),
             2u);
   set_telemetry_enabled(false);
   reset_telemetry();
@@ -93,55 +93,6 @@ TEST(RetryBudget, ConcurrentSpendersNeverOverdraw) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(granted.load(), 64);
   EXPECT_FALSE(budget.try_spend());
-}
-
-TEST(Backoff, GrowsExponentiallyAndCaps) {
-  BackoffPolicy p;
-  p.base_us = 100;
-  p.multiplier = 2.0;
-  p.cap_us = 500;
-  p.jitter = 0.0;  // deterministic: delay == min(base * 2^i, cap)
-  Rng rng(1);
-  EXPECT_EQ(backoff_delay_us(p, 0, rng), 100u);
-  EXPECT_EQ(backoff_delay_us(p, 1, rng), 200u);
-  EXPECT_EQ(backoff_delay_us(p, 2, rng), 400u);
-  EXPECT_EQ(backoff_delay_us(p, 3, rng), 500u);  // capped
-  EXPECT_EQ(backoff_delay_us(p, 10, rng), 500u);
-}
-
-TEST(Backoff, JitterStaysInsideTheConfiguredBand) {
-  BackoffPolicy p;
-  p.base_us = 1000;
-  p.multiplier = 1.0;
-  p.cap_us = 1000;
-  p.jitter = 0.5;  // delay in [500, 1000)
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t d = backoff_delay_us(p, 0, rng);
-    EXPECT_GE(d, 500u);
-    EXPECT_LT(d, 1000u);
-  }
-}
-
-TEST(Backoff, EqualSeedsGiveByteIdenticalDelays) {
-  BackoffPolicy p;
-  Rng a(12345), b(12345), c(54321);
-  std::vector<std::uint64_t> da, db, dc;
-  for (int i = 0; i < 32; ++i) {
-    da.push_back(backoff_delay_us(p, i % 6, a));
-    db.push_back(backoff_delay_us(p, i % 6, b));
-    dc.push_back(backoff_delay_us(p, i % 6, c));
-  }
-  EXPECT_EQ(da, db);
-  EXPECT_NE(da, dc);
-}
-
-TEST(Backoff, RejectsBadArguments) {
-  BackoffPolicy p;
-  Rng rng(1);
-  EXPECT_THROW(backoff_delay_us(p, -1, rng), contract_error);
-  p.jitter = 1.5;
-  EXPECT_THROW(backoff_delay_us(p, 0, rng), contract_error);
 }
 
 }  // namespace

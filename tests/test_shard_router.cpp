@@ -738,7 +738,7 @@ TEST(ShardRouter, MixedBurstWithEverythingEnabledStaysAccounted) {
   EXPECT_EQ(collector.responses().size(), st.responses());
 
   // Backend-level accounting survives too: every backend admission got a
-  // backend response (completed, failed, or typed rejection).
+  // backend response (completed or typed rejection).
   const ServiceStats bs = router.backend_stats();
   EXPECT_EQ(bs.responses(), bs.admitted);
 }
