@@ -65,6 +65,22 @@ void BM_SystolicSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_SystolicSimulation)->Apply(args_grid);
 
+// The cycle-level oracle on the same inputs: every cell stepped every
+// iteration, against the live-set simulator behind systolic_xor above.
+void BM_SystolicOracle(benchmark::State& state) {
+  const Inputs in = make_inputs(state.range(0), static_cast<int>(state.range(1)));
+  SystolicDiffMachine machine;
+  cycle_t iterations = 0;
+  for (auto _ : state) {
+    machine.load(in.a, in.b, {});
+    iterations = machine.run();
+    const RleRow out = machine.gather_output();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["iterations"] = static_cast<double>(iterations);
+}
+BENCHMARK(BM_SystolicOracle)->Apply(args_grid);
+
 // The telemetry acceptance pair: the disabled path (the default above runs
 // with the registry off — one relaxed atomic load per row) must stay within
 // noise of the seed build, and the enabled path quantifies the full cost of

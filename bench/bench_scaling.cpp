@@ -27,6 +27,7 @@
 #include "common/stats.hpp"
 #include "core/cost_model.hpp"
 #include "core/image_diff.hpp"
+#include "core/live_systolic.hpp"
 #include "core/systolic_diff.hpp"
 #include "telemetry/bench_report.hpp"
 #include "workload/generator.hpp"
@@ -355,7 +356,7 @@ void run_dispatch_sweep(const std::string& json_path, bool smoke) {
       pairs.emplace_back(std::move(a), std::move(b));
     }
     const double achieved = ratio_acc / pairs_per_point;
-    SystolicDiffMachine machine;  // recycled, as the row executor does
+    LiveSystolicSimulator machine;  // recycled, as the row executor does
     SystolicConfig cfg;
     cfg.canonicalize_output = true;
     // Untimed model pass: iteration counts for the Figure-5/Theorem-1

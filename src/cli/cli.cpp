@@ -348,8 +348,7 @@ int cmd_inspect(ArgParser& args, std::ostream& out) {
 }
 
 int cmd_gen(ArgParser& args, std::ostream& out) {
-  args.parse({"--seed", "--width", "--height", "--density", "--defects",
-              "--error"});
+  args.parse({"--seed", "--width", "--height", "--density", "--defects"});
   if (args.positional().size() != 2)
     usage_error("gen pcb|random <out> [--seed N] [--width W] [--height H] "
                 "[--density D] [--defects N]");

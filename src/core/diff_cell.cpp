@@ -14,13 +14,8 @@ std::optional<Run> DiffCell::take_big() {
 
 OrderAction DiffCell::order() {
   if (reg_small_ && reg_big_) {
-    // Swap when RegSmall's run is lexicographically larger:
-    //   small.start > big.start, or equal starts and small.end > big.end.
-    const bool out_of_order =
-        reg_small_->start > reg_big_->start ||
-        (reg_small_->start == reg_big_->start &&
-         reg_small_->end() > reg_big_->end());
-    if (out_of_order) {
+    if (registers_out_of_order(reg_small_->start, reg_small_->end(),
+                               reg_big_->start, reg_big_->end())) {
       std::swap(reg_small_, reg_big_);
       return OrderAction::kSwapped;
     }
@@ -38,31 +33,25 @@ bool DiffCell::xor_step() {
   if (!reg_small_ || !reg_big_) return false;
 
   const pos_t small_start = reg_small_->start;
-  const pos_t big_start = reg_big_->start;
-  const pos_t big_end = reg_big_->end();
+  pos_t small_end = reg_small_->end();
+  pos_t big_start = reg_big_->start;
+  pos_t big_end = reg_big_->end();
 
   // Step 1 must have ordered the registers.
-  SYSRLE_DCHECK(small_start < big_start ||
-                    (small_start == big_start && reg_small_->end() <= big_end),
+  SYSRLE_DCHECK(!registers_out_of_order(small_start, small_end, big_start,
+                                        big_end),
                 "DiffCell::xor_step: registers not ordered");
 
-  // The paper's four assignments, on closed intervals.  (The published text
-  // prints the first min's second argument as "RegBig.start,1" — a scanning
-  // artefact for "RegBig.start - 1"; see DESIGN.md.)
-  const pos_t old_small_end = reg_small_->end();
-  const pos_t new_small_end = std::min(old_small_end, big_start - 1);
-  const pos_t new_big_start =
-      std::min(big_end + 1, std::max(old_small_end + 1, big_start));
-  const pos_t new_big_end = std::max(old_small_end, big_end);
+  xor_registers(small_end, big_start, big_end);
 
   // An interval with end < start is the empty-register encoding.
-  if (new_small_end >= small_start) {
-    reg_small_ = Run::from_bounds(small_start, new_small_end);
+  if (small_end >= small_start) {
+    reg_small_ = Run::from_bounds(small_start, small_end);
   } else {
     reg_small_.reset();
   }
-  if (new_big_end >= new_big_start) {
-    reg_big_ = Run::from_bounds(new_big_start, new_big_end);
+  if (big_end >= big_start) {
+    reg_big_ = Run::from_bounds(big_start, big_end);
   } else {
     reg_big_.reset();
   }

@@ -12,12 +12,39 @@
 // end < start is the hardware's encoding of an empty register, surfaced here
 // as std::nullopt.
 
+#include <algorithm>
 #include <optional>
 
+#include "common/types.hpp"
 #include "rle/run.hpp"
 #include "systolic/trace.hpp"
 
 namespace sysrle {
+
+// The cell rule on closed intervals, the one copy shared by DiffCell and the
+// live-set simulator (core/live_systolic.hpp).  It comes as two functions
+// because the machine traces the array between step 1 and step 2.
+
+/// Step 1's swap test: true when RegSmall's run [small_start, small_end] is
+/// lexicographically larger than RegBig's [big_start, big_end].
+constexpr bool registers_out_of_order(pos_t small_start, pos_t small_end,
+                                      pos_t big_start, pos_t big_end) {
+  return small_start > big_start ||
+         (small_start == big_start && small_end > big_end);
+}
+
+/// Step 2: the paper's four min/max assignments on two ordered, non-empty
+/// registers (RegSmall's start never changes).  Either register may come out
+/// empty, encoded as end < start.  (The published text prints the first
+/// min's second argument as "RegBig.start,1" — a scanning artefact for
+/// "RegBig.start - 1"; see DESIGN.md.)
+constexpr void xor_registers(pos_t& small_end, pos_t& big_start,
+                             pos_t& big_end) {
+  const pos_t old_small_end = small_end;
+  small_end = std::min(old_small_end, big_start - 1);
+  big_start = std::min(big_end + 1, std::max(old_small_end + 1, big_start));
+  big_end = std::max(old_small_end, big_end);
+}
 
 /// What step 1 did in a given cell this iteration (for activity counters).
 enum class OrderAction {

@@ -106,18 +106,16 @@ void FaultyDiffMachine::step(bool fault_active) {
     if (hit(FaultKind::kNoSwap, i) && both) {
       // Run the datapath even on unordered registers, as the broken
       // hardware would: emulate by applying the step-2 formulas manually.
-      const Run s = *c.reg_small();
-      const Run g = *c.reg_big();
-      const pos_t old_small_end = s.end();
-      const pos_t new_small_end = std::min(old_small_end, g.start - 1);
-      const pos_t new_big_start =
-          std::min(g.end() + 1, std::max(old_small_end + 1, g.start));
-      const pos_t new_big_end = std::max(old_small_end, g.end());
-      c.load_small(new_small_end >= s.start
-                       ? std::optional<Run>(Run::from_bounds(s.start, new_small_end))
+      const pos_t small_start = c.reg_small()->start;
+      pos_t small_end = c.reg_small()->end();
+      pos_t big_start = c.reg_big()->start;
+      pos_t big_end = c.reg_big()->end();
+      xor_registers(small_end, big_start, big_end);
+      c.load_small(small_end >= small_start
+                       ? std::optional<Run>(Run::from_bounds(small_start, small_end))
                        : std::nullopt);
-      c.load_big(new_big_end >= new_big_start
-                     ? std::optional<Run>(Run::from_bounds(new_big_start, new_big_end))
+      c.load_big(big_end >= big_start
+                     ? std::optional<Run>(Run::from_bounds(big_start, big_end))
                      : std::nullopt);
       continue;
     }

@@ -7,6 +7,7 @@
 #include "baseline/word_diff.hpp"
 #include "common/assert.hpp"
 #include "core/bus_variant.hpp"
+#include "core/live_systolic.hpp"
 #include "core/row_executor.hpp"
 #include "core/systolic_diff.hpp"
 #include "telemetry/telemetry.hpp"
@@ -29,7 +30,7 @@ const char* to_string(DiffEngine engine) {
 
 RowDiff diff_row(const RleRow& a, const RleRow& b,
                  const ImageDiffOptions& options,
-                 SystolicDiffMachine& workspace) {
+                 LiveSystolicSimulator& workspace) {
   RowDiff out;
   const auto run_systolic = [&] {
     SystolicConfig cfg;
@@ -88,7 +89,7 @@ constexpr std::size_t kRowSpanStride = 64;
 
 RowDiff diff_one_row(std::size_t y, const RleRow& ra, const RleRow& rb,
                      const ImageDiffOptions& options,
-                     SystolicDiffMachine& workspace) {
+                     LiveSystolicSimulator& workspace) {
   if (y % kRowSpanStride == 0) {
     TELEMETRY_SPAN("row_diff");
     return diff_row(ra, rb, options, workspace);
@@ -106,10 +107,10 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
   const pos_t height = a.height();
   std::vector<RowDiff> outcomes(static_cast<std::size_t>(height));
 
-  // One machine per participant, its cell storage recycled across every
-  // row that participant processes.
+  // One simulator workspace per participant, its lanes recycled across
+  // every row that participant processes.
   RowExecutor& executor = RowExecutor::global();
-  std::vector<SystolicDiffMachine> workspaces(std::max<std::size_t>(
+  std::vector<LiveSystolicSimulator> workspaces(std::max<std::size_t>(
       1, executor.plan_slots(outcomes.size(), options.threads, kRowChunk)));
   const RowRunStats stats = executor.run(
       outcomes.size(),

@@ -20,11 +20,11 @@
 
 namespace sysrle {
 
-class SystolicDiffMachine;
+class LiveSystolicSimulator;
 
 /// Which row-diff engine to run.
 enum class DiffEngine {
-  kSystolic,         ///< the paper's machine (cycle-level simulation)
+  kSystolic,         ///< the paper's machine (live-set simulation)
   kBusSystolic,      ///< section-6 broadcast-bus variant
   kSequentialMerge,  ///< the paper's sequential comparator
   kAdaptive,         ///< per-row systolic/sequential dispatch on the cheap
@@ -60,12 +60,12 @@ struct RowDiff {
   std::optional<AdaptiveRoute> adaptive_route;
 };
 
-/// Diffs one row pair with options.engine.  `workspace` is a machine whose
-/// cell storage is recycled across calls, so a caller diffing many rows
-/// (one workspace per thread) pays no per-row allocation for the array.
+/// Diffs one row pair with options.engine.  `workspace` is a live-set
+/// simulator whose lanes are recycled across calls, so a caller diffing many
+/// rows (one workspace per thread) pays no per-row allocation for them.
 RowDiff diff_row(const RleRow& a, const RleRow& b,
                  const ImageDiffOptions& options,
-                 SystolicDiffMachine& workspace);
+                 LiveSystolicSimulator& workspace);
 
 /// Aggregated result of an image-level diff.
 struct ImageDiffResult {

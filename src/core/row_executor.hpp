@@ -14,8 +14,8 @@
 //     so a 1-thread run never pays a handoff and small images never pay a
 //     wakeup;
 //   * per-slot identity — the body receives a dense slot index, letting
-//     callers keep one scratch workspace (e.g. a SystolicDiffMachine whose
-//     cell storage is recycled across rows) per participant with no
+//     callers keep one scratch workspace (e.g. a LiveSystolicSimulator whose
+//     lanes are recycled across rows) per participant with no
 //     synchronisation;
 //   * deterministic results — scheduling only decides *who* computes an
 //     index, never *what*; callers write outcomes into per-index slots and

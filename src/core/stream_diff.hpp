@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/image_diff.hpp"
-#include "core/systolic_diff.hpp"
+#include "core/live_systolic.hpp"
 #include "rle/rle_row.hpp"
 
 namespace sysrle {
@@ -131,9 +131,9 @@ class StreamDiffer {
   DeadlineCheck deadline_expired_;
   cycle_t load_cycles_per_run_;
   StreamSummary summary_;
-  /// Machine workspace recycled across rows for the systolic and adaptive
-  /// engines (the stream is serial, so one workspace suffices).
-  SystolicDiffMachine machine_workspace_;
+  /// Live-set simulator workspace recycled across rows for the systolic and
+  /// adaptive engines (the stream is serial, so one workspace suffices).
+  LiveSystolicSimulator machine_workspace_;
   /// Wall-clock time of the first pushed row; anchors the rows/sec gauge
   /// when telemetry is enabled.  Unused (never read) otherwise.
   std::chrono::steady_clock::time_point first_push_{};

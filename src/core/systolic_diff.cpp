@@ -4,20 +4,18 @@
 
 #include "common/assert.hpp"
 #include "core/invariants.hpp"
+#include "core/live_systolic.hpp"
 #include "rle/ops.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sysrle {
 
-namespace {
-
-std::size_t auto_capacity(std::size_t k1, std::size_t k2) {
+std::size_t systolic_capacity(const SystolicConfig& config, std::size_t k1,
+                              std::size_t k2) {
   // Corollary 1.2: k1 + k2 cells suffice; one spare cell turns a hypothetical
   // violation into a detected contract failure instead of silent data loss.
-  return std::max<std::size_t>(k1 + k2 + 1, 1);
+  return config.capacity ? config.capacity : k1 + k2 + 1;
 }
-
-}  // namespace
 
 SystolicDiffMachine::SystolicDiffMachine(const RleRow& a, const RleRow& b,
                                          const SystolicConfig& config) {
@@ -27,8 +25,7 @@ SystolicDiffMachine::SystolicDiffMachine(const RleRow& a, const RleRow& b,
 void SystolicDiffMachine::load(const RleRow& a, const RleRow& b,
                                const SystolicConfig& config) {
   config_ = config;
-  array_.reset(config.capacity ? config.capacity
-                               : auto_capacity(a.run_count(), b.run_count()));
+  array_.reset(systolic_capacity(config, a.run_count(), b.run_count()));
   counters_ = SystolicCounters{};
   k1_ = a.run_count();
   k2_ = b.run_count();
@@ -155,48 +152,53 @@ void SystolicDiffMachine::note_occupancy() {
 
 namespace {
 
-/// Shared tail of both systolic_xor overloads: run the (loaded) machine,
-/// gather the answer, record per-row telemetry.
-SystolicResult finish_systolic_run(SystolicDiffMachine& machine,
-                                   const SystolicConfig& config) {
-  machine.run();
-  SystolicResult result;
-  result.output = machine.gather_output();
-  result.counters = machine.counters();
+/// Per-row telemetry shared by both simulators.
+void record_row_telemetry(const SystolicResult& result,
+                          const SystolicConfig& config) {
+  if (!telemetry_enabled()) return;
+  MetricsRegistry& m = global_metrics();
+  m.add("systolic.rows");
+  m.observe("systolic.row_iterations",
+            static_cast<double>(result.counters.iterations));
+  m.observe("systolic.row_swaps", static_cast<double>(result.counters.swaps));
+  m.observe("systolic.row_shifts", static_cast<double>(result.counters.shifts));
+  m.observe("systolic.row_cells_used",
+            static_cast<double>(result.counters.cells_used));
+  // The paper's (unproven) Observation bound, iterations <= k3 + 1, where
+  // k3 counts runs in the *raw* machine output; canonicalisation can only
+  // shrink the count, so the check is meaningful on raw output only.
+  if (!config.canonicalize_output &&
+      result.counters.iterations > result.output.run_count() + 1)
+    m.add("systolic.obs_bound_violations");
+}
 
-  if (telemetry_enabled()) {
-    MetricsRegistry& m = global_metrics();
-    m.add("systolic.rows");
-    m.observe("systolic.row_iterations",
-              static_cast<double>(result.counters.iterations));
-    m.observe("systolic.row_swaps", static_cast<double>(result.counters.swaps));
-    m.observe("systolic.row_shifts",
-              static_cast<double>(result.counters.shifts));
-    m.observe("systolic.row_cells_used",
-              static_cast<double>(result.counters.cells_used));
-    // The paper's (unproven) Observation bound, iterations <= k3 + 1, where
-    // k3 counts runs in the *raw* machine output; canonicalisation can only
-    // shrink the count, so the check is meaningful on raw output only.
-    if (!config.canonicalize_output &&
-        result.counters.iterations > result.output.run_count() + 1)
-      m.add("systolic.obs_bound_violations");
-  }
-  return result;
+bool needs_machine(const SystolicConfig& config) {
+  return config.trace != nullptr || config.check_invariants;
+}
+
+SystolicResult run_machine(const RleRow& a, const RleRow& b,
+                           const SystolicConfig& config) {
+  SystolicDiffMachine machine(a, b, config);
+  machine.run();
+  return {machine.gather_output(), machine.counters()};
 }
 
 }  // namespace
 
 SystolicResult systolic_xor(const RleRow& a, const RleRow& b,
                             const SystolicConfig& config) {
-  SystolicDiffMachine machine(a, b, config);
-  return finish_systolic_run(machine, config);
+  LiveSystolicSimulator workspace;
+  return systolic_xor(a, b, config, workspace);
 }
 
 SystolicResult systolic_xor(const RleRow& a, const RleRow& b,
                             const SystolicConfig& config,
-                            SystolicDiffMachine& workspace) {
-  workspace.load(a, b, config);
-  return finish_systolic_run(workspace, config);
+                            LiveSystolicSimulator& workspace) {
+  SystolicResult result = needs_machine(config)
+                              ? run_machine(a, b, config)
+                              : workspace.run(a, b, config);
+  record_row_telemetry(result, config);
+  return result;
 }
 
 }  // namespace sysrle

@@ -24,11 +24,13 @@ struct SystolicConfig {
   std::size_t capacity = 0;
 
   /// When true, the Theorem-1/2/3 and Corollary-1.1/2.1 checkers run after
-  /// every iteration (see core/invariants.hpp).  Slows the simulation by a
-  /// constant factor; used by tests and optionally by benches.
+  /// every iteration (see core/invariants.hpp).  They read every cell, so
+  /// systolic_xor steps the cycle-level SystolicDiffMachine; used by tests
+  /// and optionally by benches.
   bool check_invariants = false;
 
-  /// Optional recorder producing a Figure-3-style execution trace.
+  /// Optional recorder producing a Figure-3-style execution trace; like
+  /// check_invariants, it makes systolic_xor step SystolicDiffMachine.
   TraceRecorder* trace = nullptr;
 
   /// When true, gather_output canonicalizes (merges adjacent runs).  The raw
@@ -47,21 +49,29 @@ struct SystolicResult {
   SystolicCounters counters;
 };
 
+/// The number of cells a run on rows of k1 and k2 runs uses: config.capacity
+/// when given, else k1 + k2 + 1.
+std::size_t systolic_capacity(const SystolicConfig& config, std::size_t k1,
+                              std::size_t k2);
+
 /// Runs the systolic XOR of two RLE rows.  Both rows may be empty.  The
 /// simulation enforces Theorem 1 as a hard bound: if the machine has not
 /// terminated after k1 + k2 iterations, contract_error is thrown (this would
-/// falsify the paper; it never fires).
+/// falsify the paper; it never fires).  Runs on the live-set simulator
+/// (core/live_systolic.hpp) unless config.trace or config.check_invariants
+/// asks for the cycle-level SystolicDiffMachine; output and counters are the
+/// same either way.
 SystolicResult systolic_xor(const RleRow& a, const RleRow& b,
                             const SystolicConfig& config = {});
 
-/// The machine itself, exposed for the invariant checkers, the bus variant
-/// and step-level tests.  systolic_xor is a convenience wrapper.
+/// The cycle-level machine: every cell stepped every iteration.  It is the
+/// oracle the live-set simulator is pinned to, and the only path for traces
+/// and the per-iteration invariant checkers (Theorems 1–3).
 class SystolicDiffMachine {
  public:
   /// An unloaded workspace: owns cell storage but holds no rows.  Call
   /// load() before stepping.  Reusing one machine across many rows keeps
-  /// the cell vector's allocation alive instead of paying it per row — the
-  /// row executor gives every worker thread one such workspace.
+  /// the cell vector's allocation alive instead of paying it per row.
   SystolicDiffMachine() = default;
 
   /// Loads row a into the RegSmall lane and row b into the RegBig lane,
@@ -104,12 +114,15 @@ class SystolicDiffMachine {
   cycle_t k2_ = 0;
 };
 
+class LiveSystolicSimulator;
+
 /// Workspace-reusing variant of systolic_xor: identical output and counters,
-/// but runs inside `workspace`, recycling its cell storage instead of
-/// allocating a machine per row.  Hot image-level loops hand each worker
-/// thread one workspace (see core/row_executor.hpp).
+/// but the live-set simulator runs inside `workspace`, recycling its lanes
+/// instead of allocating per row.  Hot image-level loops hand each worker
+/// thread one workspace (see core/row_executor.hpp).  A traced or
+/// invariant-checked config still steps a fresh SystolicDiffMachine.
 SystolicResult systolic_xor(const RleRow& a, const RleRow& b,
                             const SystolicConfig& config,
-                            SystolicDiffMachine& workspace);
+                            LiveSystolicSimulator& workspace);
 
 }  // namespace sysrle

@@ -317,6 +317,24 @@ TEST_F(CliFixture, CampaignRejectsBadFlags) {
   EXPECT_EQ(cli({"campaign", "unexpected-positional"}).exit_code, 2);
 }
 
+TEST_F(CliFixture, GenRejectsErrorFlag) {
+  // gen has no error model: --error is an unknown flag, named in the one
+  // diagnostic line, and no file is written.
+  const std::string out_path = tmp_path("gen_error.srl");
+  const CliRun r = cli({"gen", "random", out_path, "--width", "64",
+                        "--height", "4", "--error", "0.9"});
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_TRUE(r.out.empty());
+  EXPECT_NE(r.err.find("--error"), std::string::npos) << r.err;
+  EXPECT_EQ(std::count(r.err.begin(), r.err.end(), '\n'), 1);
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+  // campaign keeps its real --error.
+  EXPECT_EQ(cli({"campaign", "--rows", "1", "--width", "64", "--error",
+                 "0.05", "--kind", "drop-shift", "--model", "permanent"})
+                .exit_code,
+            0);
+}
+
 TEST_F(CliFixture, BadNumericFlagValuesAreOneLineUsageErrors) {
   const CliRun r =
       cli({"gen", "random", tmp_path("bad.srl"), "--width", "banana"});

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
+#include "core/live_systolic.hpp"
 #include "rle/ops.hpp"
 #include "test_util.hpp"
 #include "workload/rng.hpp"
@@ -183,23 +184,27 @@ TEST(SystolicDiff, AdjacentRunsInInputsAreHandled) {
 }
 
 TEST(SystolicDiffMachine, WorkspaceReuseMatchesFreshMachine) {
-  // The row-parallel executor keeps one machine per slot and re-load()s it
-  // for every row: recycled cell storage must behave exactly like a freshly
+  // A re-load()ed machine and a recycled live-set workspace (the row
+  // executor keeps one per slot) must behave exactly like a freshly
   // constructed machine, including after runs of very different sizes.
   Rng rng(907);
   SystolicDiffMachine workspace;
+  LiveSystolicSimulator live;
   const SystolicConfig cfg;
   for (int trial = 0; trial < 50; ++trial) {
     const pos_t width = rng.uniform(1, 400);
     const RleRow a = random_row(rng, width, rng.uniform01());
     const RleRow b = random_row(rng, width, rng.uniform01());
-    const SystolicResult fresh = systolic_xor(a, b, cfg);
-    const SystolicResult reused = systolic_xor(a, b, cfg, workspace);
-    EXPECT_EQ(reused.output, fresh.output) << "trial " << trial;
-    EXPECT_EQ(reused.counters.iterations, fresh.counters.iterations)
+    SystolicDiffMachine fresh(a, b, cfg);
+    fresh.run();
+    workspace.load(a, b, cfg);
+    workspace.run();
+    EXPECT_EQ(workspace.gather_output(), fresh.gather_output())
         << "trial " << trial;
-    EXPECT_EQ(reused.counters.cells_used, fresh.counters.cells_used)
-        << "trial " << trial;
+    EXPECT_EQ(workspace.counters(), fresh.counters()) << "trial " << trial;
+    const SystolicResult reused = systolic_xor(a, b, cfg, live);
+    EXPECT_EQ(reused.output, fresh.gather_output()) << "trial " << trial;
+    EXPECT_EQ(reused.counters, fresh.counters()) << "trial " << trial;
   }
 }
 

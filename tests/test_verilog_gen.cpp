@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <regex>
 #include <string>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,13 +38,63 @@ std::string strip_comments(const std::string& text) {
   return out;
 }
 
+bool is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
 std::size_t count_token(const std::string& text, const std::string& token) {
-  // Word-boundary occurrences in code (comments stripped).
+  // Whole-word occurrences in code (comments stripped).
   const std::string code = strip_comments(text);
-  const std::regex re("\\b" + token + "\\b");
-  return static_cast<std::size_t>(std::distance(
-      std::sregex_iterator(code.begin(), code.end(), re),
-      std::sregex_iterator()));
+  std::size_t count = 0;
+  for (std::size_t pos = code.find(token); pos != std::string::npos;
+       pos = code.find(token, pos + 1)) {
+    const std::size_t after = pos + token.size();
+    if ((pos == 0 || !is_word_char(code[pos - 1])) &&
+        (after == code.size() || !is_word_char(code[after])))
+      ++count;
+  }
+  return count;
+}
+
+/// The first name declared by each `wire` / `reg` declaration:
+/// `(wire|reg) [signed] [range] name` followed by one of `;`, `,`, `=`.
+std::vector<std::string> declared_names(const std::string& v) {
+  std::vector<std::string> names;
+  auto skip_space = [&v](std::size_t i) {
+    while (i < v.size() && is_space(v[i])) ++i;
+    return i;
+  };
+  for (std::size_t pos = 0; pos < v.size(); ++pos) {
+    std::size_t i = pos;
+    if (v.compare(pos, 4, "wire") == 0)
+      i += 4;
+    else if (v.compare(pos, 3, "reg") == 0)
+      i += 3;
+    else
+      continue;
+    if (i >= v.size() || !is_space(v[i])) continue;
+    i = skip_space(i);
+    if (v.compare(i, 6, "signed") == 0 && i + 6 < v.size() &&
+        is_space(v[i + 6]))
+      i = skip_space(i + 6);
+    if (i < v.size() && v[i] == '[') {
+      const std::size_t close = v.find(']', i);
+      if (close == std::string::npos) continue;
+      i = skip_space(close + 1);
+    }
+    const std::size_t name_start = i;
+    while (i < v.size() && is_word_char(v[i])) ++i;
+    if (i == name_start) continue;
+    const std::size_t name_end = i;
+    i = skip_space(i);
+    if (i < v.size() && (v[i] == ';' || v[i] == ',' || v[i] == '=')) {
+      names.push_back(v.substr(name_start, name_end - name_start));
+      pos = i;
+    }
+  }
+  return names;
 }
 
 TEST(VerilogGen, CellModuleBalancedAndParameterised) {
@@ -74,12 +124,10 @@ TEST(VerilogGen, DeclaredSignalsAreUsed) {
   const std::string v = generate_cell_verilog();
   // Every locally declared wire/reg must appear at least twice (declaration
   // plus at least one use).
-  const std::regex decl(R"((?:wire|reg)\s+(?:signed\s+)?(?:\[[^\]]*\]\s*)?(\w+)\s*[;,=])");
-  for (auto it = std::sregex_iterator(v.begin(), v.end(), decl);
-       it != std::sregex_iterator(); ++it) {
-    const std::string name = (*it)[1];
+  const std::vector<std::string> names = declared_names(v);
+  EXPECT_FALSE(names.empty());
+  for (const std::string& name : names)
     EXPECT_GE(count_token(v, name), 2u) << "unused signal: " << name;
-  }
 }
 
 TEST(VerilogGen, ArrayInstantiatesCellsAndReducesCompletion) {
